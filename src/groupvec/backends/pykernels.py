@@ -11,6 +11,12 @@ import numpy as np
 # large (n, L, d) temporary, so we switch to the BLAS form.
 _BROADCAST_BUDGET = 2**24
 
+# The exact path runs over blocks of x rows whose (rows, L, d) difference
+# holds about this many elements, in one reused buffer: a cache-sized
+# temporary costs far less than a whole-matrix allocation, and every
+# entry is the same reduction either way.
+_BLOCK_ELEMS = 2**17
+
 
 def cross_sqdist(x, c):
     """Squared Euclidean distances between rows of x (n,d) and c (L,d)."""
@@ -19,8 +25,14 @@ def cross_sqdist(x, c):
     n, d = x.shape
     m = c.shape[0]
     if n * m * max(d, 1) <= _BROADCAST_BUDGET:
-        diff = x[:, None, :] - c[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        out = np.empty((n, m), dtype=np.float64)
+        rows = max(1, _BLOCK_ELEMS // max(m * d, 1))
+        buf = np.empty((min(rows, n), m, d), dtype=np.float64)
+        for s in range(0, n, rows):
+            diff = buf[: min(rows, n - s)]
+            np.subtract(x[s : s + rows, None, :], c[None, :, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[s : s + rows])
+        return out
     sq = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :]
     sq -= 2.0 * (x @ c.T)
     return np.maximum(sq, 0.0)

@@ -11,7 +11,8 @@ Layout (all integers little-endian):
         nlen u16, name (UTF-8), ndim u8, ndim x u64 dims,
         little-endian float64 data
 
-Writing the result of a read reproduces the file byte for byte.
+Writing the result of a read reproduces the file byte for byte.  A file
+cut short anywhere is rejected with "<path>: truncated checkpoint".
 """
 
 from __future__ import annotations
@@ -44,28 +45,41 @@ def write_container(path, header: dict[str, str], blobs: dict[str, np.ndarray]) 
             fh.write(arr.tobytes())
 
 
+def read_exact(fh, n: int, path, what: str) -> bytes:
+    """Read exactly ``n`` bytes, or fail naming the file as truncated."""
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ValueError(f"{path}: truncated {what}")
+    return raw
+
+
 def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    def unpack(fmt: str):
+        return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path, "checkpoint"))
+
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
+            if len(magic) < 4 and MAGIC.startswith(magic):
+                raise ValueError(f"{path}: truncated checkpoint")
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}: MSG1 expected")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = unpack("<I")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        text = fh.read(hlen).decode("utf-8")
+        (hlen,) = unpack("<Q")
+        text = read_exact(fh, hlen, path, "checkpoint").decode("utf-8")
         header: dict[str, str] = {}
         for line in text.splitlines():
             key, _, value = line.partition(" = ")
             header[key] = value
-        (nblobs,) = struct.unpack("<I", fh.read(4))
+        (nblobs,) = unpack("<I")
         blobs: dict[str, np.ndarray] = {}
         for _ in range(nblobs):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+            (nlen,) = unpack("<H")
+            name = read_exact(fh, nlen, path, "checkpoint").decode("utf-8")
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}Q")
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            blobs[name] = data.copy()
+            raw = read_exact(fh, count * 8, path, "checkpoint")
+            blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         return header, blobs

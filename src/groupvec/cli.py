@@ -26,8 +26,8 @@ from .data import (
     write_manifest,
 )
 from .losses import LossConfig
-from .metrics import EvalConfig, GroundTruth, scale_report
-from .retrieval import EmbeddingStore, Hit, RankedResult, embed_all, embed_query, query
+from .metrics import EvalConfig, GroundTruth, ScaleReport
+from .retrieval import EmbeddingStore, embed_all, embed_query, query, rank
 from .train import TrainConfig, load_checkpoint, train
 
 # Section key tables double as the unknown-key gate; a unit test keeps
@@ -255,21 +255,21 @@ def _find_object(table, image_id: int, bbox) -> int:
     raise ValueError(f"no object with bbox {bbox} in image {image_id}")
 
 
-def _query_store(state, table, provider, groups, store, oid: int, topk: int):
-    rec = table.get(oid)
+def _embed_for_store(state, groups, provider, store, rec):
+    """Embed a table object as a query against ``store``, whose width says
+    whether it keeps one head or both."""
     concat = store.dim == 2 * state.cfg.student_dim
     if not concat and store.dim != state.cfg.student_dim:
         raise ValueError(
             f"store width {store.dim} does not match checkpoint width {state.cfg.student_dim}"
         )
-    emb = embed_query(
+    return embed_query(
         state.student,
         groups,
-        provider.base_features(np.array([oid]))[0],
+        provider.base_features(np.array([rec.object_id]))[0],
         rec.area,
         concat=concat,
     )
-    return query(store, emb, topk, table, query_id=oid)
 
 
 def cmd_query(args) -> int:
@@ -283,7 +283,8 @@ def cmd_query(args) -> int:
         "query",
         {"checkpoint": args.checkpoint, "object": oid, "topk": args.topk},
     )
-    result = _query_store(state, table, provider, groups, store, oid, args.topk)
+    emb = _embed_for_store(state, groups, provider, store, table.get(oid))
+    result = query(store, emb, args.topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
         x, y, w, h = hit.bbox
         print(f"{rank}\t{hit.object_id}\t{hit.distance!r}\t{hit.image_id}\t{x!r}\t{y!r}\t{w!r}\t{h!r}")
@@ -325,50 +326,69 @@ def cmd_eval(args) -> int:
         "eval",
         {"checkpoint": args.checkpoint, "queries": len(query_ids), "topk": topk},
     )
-    results = []
+    # streamed per query, so memory does not grow with queries x gallery
+    gallery_rows = gt.rows_of(store.object_ids)
+    scores = ScaleReport(gt, EvalConfig(topk=topk))
     with open(args.rankings, "w", encoding="utf-8", newline="\n") as fh:
         for qid in query_ids:
-            res = _query_store(state, table, provider, groups, store, qid, store.count)
-            results.append(res)
-            ranked = ",".join(f"{h.object_id}:{h.distance!r}" for h in res.hits)
-            fh.write(f"{qid}\t{ranked}\n")
-    report = scale_report(results, gt, EvalConfig(topk=topk))
+            emb = _embed_for_store(state, groups, provider, store, table.get(qid))
+            order, dist = rank(store, emb)
+            pairs = map("{}:{!r}".format, store.object_ids[order].tolist(), dist[order].tolist())
+            fh.write(f"{qid}\t{','.join(pairs)}\n")
+            scores.add(qid, gallery_rows[order])
+    report = scores.text()
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
     sys.stdout.write(report)
     return 0
 
 
-def _read_rankings(path, table):
-    results = []
+def _score_rankings(path, gt: GroundTruth, scores: ScaleReport) -> None:
+    """Add every query of a rankings file to ``scores``; a malformed line
+    is a ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{where}: expected 2 fields")
+            qid_text, ranked = fields
             try:
-                qid_text, ranked = line.split("\t")
+                qid = int(qid_text)
+            except ValueError:
+                raise ValueError(f"{where}: bad query id {qid_text!r}") from None
+            if qid not in gt.query_class:
+                raise ValueError(f"{where}: unknown query id {qid}")
+            oids = []
+            for item in ranked.split(",") if ranked else ():
+                oid_text, sep, dist_text = item.partition(":")
+                try:
+                    if not sep:
+                        raise ValueError
+                    oids.append(int(oid_text))
+                    float(dist_text)
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: malformed pair {item!r}, oid:distance expected"
+                    ) from None
+            try:
+                rows = gt.rows_of(oids)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields") from exc
-            hits = []
-            if ranked:
-                for item in ranked.split(","):
-                    oid_text, dist_text = item.split(":")
-                    rec = table.get(int(oid_text))
-                    hits.append(
-                        Hit(rec.object_id, float(dist_text), rec.image_id, rec.bbox)
-                    )
-            results.append(RankedResult(int(qid_text), tuple(hits)))
-    return results
+                raise ValueError(f"{where}: {exc}") from None
+            scores.add(qid, rows)
 
 
 def cmd_report(args) -> int:
     topk, _ = _eval_settings(args)
     table, _, _ = _load_data(args.data)
     gt = _ground_truth(table)
-    results = _read_rankings(args.rankings, table)
     _echo_config("report", {"rankings": args.rankings, "topk": topk})
-    report = scale_report(results, gt, EvalConfig(topk=topk))
+    scores = ScaleReport(gt, EvalConfig(topk=topk))
+    _score_rankings(args.rankings, gt, scores)
+    report = scores.text()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)

@@ -1,17 +1,23 @@
 """Gallery embedding, exact nearest-neighbor search, and image ranking.
 
-Stores hold float32 rows for compactness; all distance work happens in
-float64 on the upcast values, so rankings are deterministic and exact for
-the stored data.
+Stores hold float32 rows for compactness.  Search is exact and runs in
+float64 on an upcast copy of the rows that each store makes once, on its
+first search: ``rank`` computes the distance to every row and orders the
+rows by (distance, object id), so rankings are deterministic and a query
+equal to a stored row comes back at distance exactly 0.0.  ``rank``
+returns arrays for whole-gallery work such as ``groupvec eval``; ``query``
+joins only its top k to the object table as ``Hit`` objects.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .checkpoint import read_exact
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
 
@@ -39,6 +45,12 @@ class EmbeddingStore:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @cached_property
+    def vectors64(self) -> np.ndarray:
+        """The rows upcast to float64, made on first use and kept with the
+        store; ``vectors`` must not be modified after the first search."""
+        return self.vectors.astype(np.float64)
+
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(STORE_MAGIC)
@@ -53,16 +65,15 @@ class EmbeddingStore:
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != STORE_MAGIC:
+                if len(magic) < 4 and STORE_MAGIC.startswith(magic):
+                    raise ValueError(f"{path}: truncated store")
                 raise ValueError(f"{path}: bad store magic {magic!r}: MSE1 expected")
-            (version,) = struct.unpack("<I", fh.read(4))
+            (version,) = struct.unpack("<I", read_exact(fh, 4, path, "store"))
             if version != STORE_VERSION:
                 raise ValueError(f"{path}: unsupported store version {version}")
-            (dim,) = struct.unpack("<I", fh.read(4))
-            (count,) = struct.unpack("<Q", fh.read(8))
-            vec_raw = fh.read(count * dim * 4)
-            ids_raw = fh.read(count * 8)
-        if len(vec_raw) != count * dim * 4 or len(ids_raw) != count * 8:
-            raise ValueError(f"{path}: truncated store")
+            dim, count = struct.unpack("<IQ", read_exact(fh, 12, path, "store"))
+            vec_raw = read_exact(fh, count * dim * 4, path, "store")
+            ids_raw = read_exact(fh, count * 8, path, "store")
         vec = np.frombuffer(vec_raw, dtype="<f4")
         ids = np.frombuffer(ids_raw, dtype="<u8")
         return cls(
@@ -125,15 +136,12 @@ def embed_query(
     return _student_rows(student, np.asarray(feature, dtype=np.float64)[None, :], m, concat)[0]
 
 
-def query(store: EmbeddingStore, q: np.ndarray, topk: int, table: ObjectTable,
-          query_id: int | None = None) -> RankedResult:
-    """Exact Euclidean top-k over the store.
+def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Euclidean search of the whole store.
 
-    Distance ties break toward the smaller gallery object id; topk is
-    clipped to the store size.
+    Returns the store rows ordered by (distance, object id) and the
+    float64 distance of every row, indexed by row.
     """
-    if topk < 1:
-        raise ValueError("topk must be at least 1")
     if store.count == 0:
         raise ValueError("store is empty")
     q = np.asarray(q, dtype=np.float64).ravel()
@@ -142,11 +150,23 @@ def query(store: EmbeddingStore, q: np.ndarray, topk: int, table: ObjectTable,
     # search runs at storage precision: a query equal to a stored row must
     # come back at distance exactly zero, so round it to the same grid
     q = q.astype(np.float32).astype(np.float64)
-    diff = store.vectors.astype(np.float64) - q
+    diff = store.vectors64 - q
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.lexsort((store.object_ids, dist))[: min(topk, store.count)]
+    return np.lexsort((store.object_ids, dist)), dist
+
+
+def query(store: EmbeddingStore, q: np.ndarray, topk: int, table: ObjectTable,
+          query_id: int | None = None) -> RankedResult:
+    """Exact Euclidean top-k over the store, joined to the object table.
+
+    Distance ties break toward the smaller gallery object id; topk is
+    clipped to the store size.
+    """
+    if topk < 1:
+        raise ValueError("topk must be at least 1")
+    order, dist = rank(store, q)
     hits = []
-    for idx in order:
+    for idx in order[:topk]:
         oid = int(store.object_ids[idx])
         rec = table.get(oid)
         hits.append(

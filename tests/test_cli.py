@@ -27,7 +27,10 @@ from groupvec.data import (
     write_manifest,
 )
 from groupvec.cli import _load_data
+from groupvec.data import BaseFeatureProvider
 from groupvec.losses import LossConfig
+from groupvec.metrics import EvalConfig, GroundTruth, scale_report
+from groupvec.retrieval import EmbeddingStore, embed_query, query
 from groupvec.train import (
     TrainConfig,
     init_state,
@@ -415,6 +418,113 @@ class TestEval:
         )
         assert rc == 0
         assert out2.read_bytes() == report.read_bytes()
+
+
+    def test_eval_bytes_equal_per_query_search_and_scale_report(self, trained, tmp_path, capsys):
+        data_dir, ckpt, store_path = trained
+        state = load_checkpoint(ckpt)
+        table, _, provider = _load_data(data_dir)
+        groups = partition_by_scale(table, state.cfg.groups)
+        store = EmbeddingStore.load(store_path)
+        for topk in (None, 5):
+            results, lines = [], []
+            for rec in table:
+                emb = embed_query(
+                    state.student, groups, provider.base_features(np.array([rec.object_id]))[0],
+                    rec.area,
+                )
+                res = query(store, emb, store.count, table, query_id=rec.object_id)
+                results.append(res)
+                ranked = ",".join(f"{h.object_id}:{h.distance!r}" for h in res.hits)
+                lines.append(f"{rec.object_id}\t{ranked}\n")
+            gt = GroundTruth.from_table(table)
+            want_report = scale_report(results, gt, EvalConfig(topk=topk))
+
+            rankings, report = tmp_path / "rankings.tsv", tmp_path / "report.tsv"
+            extra = [] if topk is None else ["--topk", topk]
+            rc, _, _ = run(
+                capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store_path,
+                "--rankings", rankings, "--report", report, *extra,
+            )
+            assert rc == 0
+            assert rankings.read_bytes() == "".join(lines).encode("utf-8")
+            assert report.read_bytes() == want_report.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("1\t2:0.5,3;0.7", "line 2: malformed pair '3;0.7'"),
+            ("1\t2:0.5,999:0.7", "line 2: object 999 is not in the gallery"),
+            ("1\t2:0.5,99999999999999999999:0.7", "line 2: object id outside the int64 range"),
+            ("1\t2:0.5,3:far", "line 2: malformed pair '3:far'"),
+            ("555\t2:0.5", "line 2: unknown query id 555"),
+        ],
+    )
+    def test_report_names_file_and_line_of_bad_rankings(
+        self, data_dir, tmp_path, capsys, bad_line, message
+    ):
+        rankings = tmp_path / "rankings.tsv"
+        rankings.write_text(f"0\t1:0.25,2:0.5\n{bad_line}\n", encoding="utf-8")
+        rc, out, err = run(capsys, "report", "--rankings", rankings, "--data", data_dir)
+        assert rc == 1
+        assert out == ""
+        assert f"error: {rankings}: {message}" in err
+
+
+def tiny_model(tmp_path):
+    """A four-object corpus, an untrained two-wide checkpoint and its store."""
+    records = [
+        ObjectRecord(
+            object_id=i, image_id=i // 2, bbox=(0.0, 0.0, 1.0 + i, 2.0),
+            area=(1.0 + i) * 2.0, class_id=i % 2, feature_ref=i,
+        )
+        for i in range(4)
+    ]
+    d = tmp_path / "tiny"
+    d.mkdir()
+    write_manifest(ObjectTable(records), d / "manifest.tsv")
+    np.save(d / "features.npy", np.arange(8.0).reshape(4, 2))
+    cfg = TrainConfig(
+        steps=0, batch=4, groups=2, clusters=2, knn=1, n_shared=1,
+        hidden_dim=2, trunk_layers=1, student_dim=2, teacher_dim=2,
+    )
+    ckpt, store = tmp_path / "tiny.ckpt", tmp_path / "tiny.store"
+    save_checkpoint(ckpt, init_state(cfg, 2))
+    assert main(["embed", "--checkpoint", str(ckpt), "--data", str(d), "--out", str(store)]) == 0
+    return d, ckpt, store
+
+
+class TestTruncatedFiles:
+    def _assert_truncated(self, capsys, path, what, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: truncated {what}"]
+
+    def test_every_cut_of_a_checkpoint(self, tmp_path, capsys):
+        d, ckpt, _ = tiny_model(tmp_path)
+        capsys.readouterr()
+        raw = ckpt.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            self._assert_truncated(
+                capsys, cut, "checkpoint",
+                ["embed", "--checkpoint", cut, "--data", d, "--out", tmp_path / "x"],
+            )
+
+    def test_every_cut_of_a_store(self, tmp_path, capsys):
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        raw = store.read_bytes()
+        cut = tmp_path / "cut.store"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            self._assert_truncated(
+                capsys, cut, "store",
+                ["eval", "--checkpoint", ckpt, "--data", d, "--store", cut,
+                 "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"],
+            )
 
 
 class TestIngest:

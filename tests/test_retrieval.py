@@ -22,6 +22,7 @@ from groupvec.retrieval import (
     embed_all,
     embed_query,
     query,
+    rank,
     rank_images,
 )
 
@@ -190,6 +191,64 @@ def test_query_argument_errors():
     )
     with pytest.raises(ValueError, match="empty"):
         query(empty, np.zeros(3), topk=1, table=table)
+
+
+def _planted_store(rng, n, dim):
+    """A criterion-4-style store: random rows, two exact copies of one row
+    when there is room, ids drawn from a wider range than the row count."""
+    vec = rng.normal(size=(n, dim)).astype(np.float32)
+    if n >= 4:
+        vec[n // 2] = vec[n // 4]
+        vec[n - 1] = vec[n // 4]
+    ids = rng.permutation(3 * n).astype(np.int64)[:n]
+    return EmbeddingStore(vectors=vec, object_ids=ids)
+
+
+def test_rank_matches_brute_force_with_planted_duplicates():
+    rng = np.random.default_rng(404)
+    for case in range(40):
+        n, dim = int(rng.integers(2, 200)), int(rng.integers(2, 16))
+        store = _planted_store(rng, n, dim)
+        # every other query sits on the planted row, so the tie is at zero
+        q = store.vectors[n // 4].astype(np.float64) if case % 2 else rng.normal(size=dim)
+        order, dist = rank(store, q)
+        qq = np.asarray(q).astype(np.float32).astype(np.float64)
+        brute = [
+            (math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(row, qq))), int(oid))
+            for row, oid in zip(store.vectors, store.object_ids)
+        ]
+        expect = sorted(brute)
+        assert [int(i) for i in store.object_ids[order]] == [oid for _, oid in expect]
+        assert np.allclose(dist[order], [d for d, _ in expect], rtol=1e-12, atol=1e-12)
+        assert sorted(order.tolist()) == list(range(n))
+        if n >= 4:
+            dup = [n // 4, n // 2, n - 1]
+            assert dist[dup[0]] == dist[dup[1]] == dist[dup[2]]
+            pos = [int(np.flatnonzero(order == r)[0]) for r in dup]
+            by_id = sorted(dup, key=lambda r: store.object_ids[r])
+            assert [r for _, r in sorted(zip(pos, dup))] == by_id
+
+
+def test_rank_stored_row_comes_back_at_exactly_zero():
+    rng = np.random.default_rng(405)
+    store = _planted_store(rng, 50, 9)
+    for row in (0, 7, 12, 49):
+        order, dist = rank(store, store.vectors[row].astype(np.float64))
+        assert dist[row] == 0.0
+        assert dist[order[0]] == 0.0
+
+
+def test_float64_copy_is_made_once_per_store():
+    rng = np.random.default_rng(406)
+    store = random_store(rng, n=20, dim=4)
+    table = small_table([(i, 0, (0.0, 0.0, 1.0, 1.0)) for i in range(20)])
+    assert "vectors64" not in vars(store)
+    query(store, rng.normal(size=4), topk=3, table=table)
+    first = store.vectors64
+    query(store, rng.normal(size=4), topk=3, table=table)
+    assert store.vectors64 is first
+    assert first.dtype == np.float64
+    assert np.array_equal(first, store.vectors)
 
 
 def test_rank_images_first_occurrence():

@@ -71,6 +71,20 @@ class TestKnnTable:
         for oid in ids:
             assert t.of(int(oid)).tolist() == oracle[int(oid)]
 
+    def test_matches_brute_force_with_duplicates(self):
+        # planted duplicate rows make exact distance ties that only the
+        # ids can break
+        rng = np.random.default_rng(14)
+        f = rng.normal(size=(70, 1024)) * 3.0
+        f[rng.integers(0, 70, size=20)] = f[5]
+        ids = rng.permutation(np.arange(500, 570))
+        group_of = rng.integers(0, 3, size=70)
+        t = knn_table(f, ids, group_of, k_neighbors=6)
+        oracle = knn_loops(f, ids, group_of, 6)
+        for oid in ids:
+            assert t.of(int(oid)).dtype == np.int64
+            assert t.of(int(oid)).tolist() == oracle[int(oid)]
+
     def test_no_self_and_count_capped(self):
         f = np.random.default_rng(5).normal(size=(3, 2))
         ids = np.array([1, 2, 3])
