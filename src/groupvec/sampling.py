@@ -125,6 +125,12 @@ def knn_table(
 
     Self is excluded; exact distance ties break toward the smaller object
     id.  Each object gets min(k_neighbors, group size - 1) neighbors.
+
+    Distances are the per-row sums ``((f[j] - f[i]) ** 2).sum()``.  A group
+    is first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
+    whose rounding error has a proven bound (the slack); only rows within
+    the slack of the k-th screened distance are measured exactly, so the
+    table equals a full sort of (distance, id).
     """
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -139,12 +145,45 @@ def knn_table(
         sub = f[rows]
         ids = object_ids[rows]
         take = min(k_neighbors, rows.size - 1)
-        for local, oid in enumerate(ids):
-            d2 = ((sub - sub[local]) ** 2).sum(axis=1)
-            order = np.lexsort((ids, d2))
-            picked = [int(ids[j]) for j in order if j != local][:take]
-            neighbors[int(oid)] = np.array(picked, dtype=np.int64)
+        for local, cand in enumerate(_knn_candidates(sub, take)):
+            d2 = ((sub[cand] - sub[local]) ** 2).sum(axis=1)
+            order = np.lexsort((ids[cand], d2))[:take]
+            neighbors[int(ids[local])] = ids[cand[order]]
     return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+
+
+def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
+    """Per row, the other rows that may be among its ``take`` nearest.
+
+    Row j is kept for row i when its screened distance minus the slack
+    does not exceed the ``take``-th smallest screened distance plus the
+    slack; that keeps every row whose exact distance is at most the
+    ``take``-th exact distance, ties included.  A group with a non-finite
+    screened value keeps every row.
+    """
+    # Slack: with unit roundoff u = eps/2 and total = |x|^2 + |y|^2, each
+    # squared norm and the dot product is off by at most D u total (any
+    # summation order, fused or not), the two final additions by
+    # 2 u (2 total), and the exact per-row sum by (D + 2) u (2 total):
+    # (2 D + 4) eps total in all.  Every underflowing product adds at most
+    # one smallest subnormal, 5 D of them.  The factor 8 covers the
+    # second-order terms and the rounding of the slack itself.
+    f64 = np.finfo(np.float64)
+    n, dim = sub.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", sub, sub)
+        total = sq[:, None] + sq[None, :]
+        approx = total - 2.0 * (sub @ sub.T)
+        if np.isfinite(approx).all():
+            slack = 8.0 * (dim + 4) * (f64.eps * total + f64.smallest_subnormal)
+            upper = approx + slack
+            np.fill_diagonal(upper, np.inf)
+            kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
+            keep = approx - slack <= kth[:, None]
+        else:
+            keep = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(keep, False)
+    return [np.flatnonzero(row) for row in keep]
 
 
 def assemble_batch(

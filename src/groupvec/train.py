@@ -104,17 +104,30 @@ def optimizer_step(
     """Adaptive-moment update with bias correction and decoupled decay.
 
     Aborts without touching any state if the gradient is not finite.
+    Works in place through two per-call buffers, with the operations and
+    their order of the expression form
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps); p -= lr * wd * p``, so the
+    result is the same to the bit.
     """
     g = grads.data
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient; optimizer step aborted")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    params.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    params.data -= lr * weight_decay * params.data
+    a = np.empty_like(g)
+    b = np.empty_like(g)
+    m, v, p = state.m, state.v, params.data
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=b)
+    v += np.multiply(b, g, out=b)
+    np.divide(m, 1.0 - state.beta1**state.t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - state.beta2**state.t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    p -= np.divide(a, b, out=a)
+    p -= np.multiply(p, lr * weight_decay, out=a)
     return params
 
 
@@ -265,12 +278,12 @@ def load_checkpoint(path) -> TrainState:
     state = init_state(cfg, feature_dim)
     state.student.params.data[:] = blobs["student.data"]
     state.teacher.params.data[:] = blobs["teacher.data"]
-    state.opt.m = blobs["opt.m"].copy()
-    state.opt.v = blobs["opt.v"].copy()
+    state.opt.m = blobs["opt.m"]
+    state.opt.v = blobs["opt.v"]
     state.opt.t = int(blobs["opt.t"])
     if "bank.centroids" in blobs:
         state.bank = CentroidBank(
-            centroids=blobs["bank.centroids"].copy(),
+            centroids=blobs["bank.centroids"],
             last_refresh_step=int(blobs["bank.step"]),
         )
     if "nt.ids" in blobs:

@@ -1,12 +1,15 @@
 """Brute-force reference implementations used to pin expected test values.
 
-Everything here is written as plain double loops over rows, independent of
-the library's vectorized kernels, so agreement is meaningful.
+Everything here is written as plain loops over rows, or as the plain
+expression form that the library's fused code replaces, independent of the
+library's vectorized kernels, so agreement is meaningful.
 """
 
 import math
 
 import numpy as np
+
+from groupvec.sampling import NeighborTable
 
 
 def fd_grad(fun, x, eps=1e-5):
@@ -247,3 +250,42 @@ def knn_loops(f, object_ids, group_of, k_neighbors):
         take = min(k_neighbors, len(cand))
         out[int(oid)] = [oid2 for _, oid2 in cand[:take]]
     return out
+
+
+def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
+    """Within-group kNN table measuring each row against its whole group:
+    one exact ``((sub - sub[i]) ** 2).sum(axis=1)`` and one lexsort of
+    (distance, id) per row.  Same signature and result as
+    ``sampling.knn_table``."""
+    f = np.asarray(f, dtype=np.float64)
+    object_ids = np.asarray(object_ids, dtype=np.int64)
+    group_of = np.asarray(group_of)
+    if not (f.shape[0] == object_ids.size == group_of.size):
+        raise ValueError("rows, object ids and group assignment must align")
+    neighbors = {}
+    for g in np.unique(group_of):
+        rows = np.flatnonzero(group_of == g)
+        if rows.size < 2:
+            raise ValueError(f"group {g} has fewer than two members")
+        sub = f[rows]
+        ids = object_ids[rows]
+        take = min(k_neighbors, rows.size - 1)
+        for local, oid in enumerate(ids):
+            d2 = ((sub - sub[local]) ** 2).sum(axis=1)
+            order = np.lexsort((ids, d2))
+            picked = [int(ids[j]) for j in order if j != local][:take]
+            neighbors[int(oid)] = np.array(picked, dtype=np.int64)
+    return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+
+
+def adam_step_expr(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One adaptive-moment step with decoupled decay in expression form
+    (a fresh array per operation).  Returns the new ``(p, m, v)``; ``t`` is
+    the step count after the increment."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    p = p - lr * weight_decay * p
+    return p, m, v

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import knn_loops
+from _oracles import knn_loops, knn_rows
 from groupvec.data import SynthConfig, partition_by_scale, synth_generate_full
 from groupvec.encoder import EncoderConfig, StudentNet, TeacherNet
 from groupvec.sampling import (
@@ -111,6 +111,86 @@ class TestKnnTable:
     def test_singleton_group_named_in_error(self):
         with pytest.raises(ValueError, match="group 1"):
             knn_table(np.zeros((3, 2)), np.arange(3), np.array([0, 0, 1]))
+
+
+@pytest.fixture(scope="module")
+def refresh_scale():
+    """The teacher's wide embedding of a 2000-object corpus in its four
+    scale groups of 500: the input of a default refresh."""
+    table, feats, model = synth_generate_full(SynthConfig(n_objects=2000, seed=0))
+    enc = EncoderConfig(
+        feature_dim=feats.shape[1], groups=4, hidden_dim=256, trunk_layers=2,
+        student_dim=512, teacher_dim=1024,
+    )
+    teacher = TeacherNet.from_student(StudentNet.init(enc, seed=0), seed=1)
+    wide = teacher.embed(model.base_features(table.ids))
+    return wide, table.ids, partition_by_scale(table, 4).assignment
+
+
+def _planted_duplicates(f, rng):
+    f = f.copy()
+    f[rng.integers(0, len(f), size=300)] = f[rng.integers(0, len(f), size=300)]
+    return f
+
+
+def _integer_lattice(f, rng):
+    return np.round(rng.normal(size=f.shape) * 0.7)
+
+
+class TestKnnTableAtRefreshScale:
+    """The Gram-screened table equals the per-row full sort exactly on
+    4 x 500 rows of 1024-d, including inputs made to defeat the screen."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda f, rng: f,
+            _planted_duplicates,
+            lambda f, rng: f + 1e4,  # the Gram form cancels most digits
+            _integer_lattice,  # exact distance ties everywhere
+            # ties the Gram form rounds apart: fails without the slack
+            lambda f, rng: 0.1 * _integer_lattice(f, rng),
+        ],
+        ids=["teacher", "duplicates", "offset_1e4", "lattice_ties", "decimal_lattice_ties"],
+    )
+    def test_equals_per_row_sort(self, refresh_scale, make):
+        wide, ids, group_of = refresh_scale
+        assert wide.shape == (2000, 1024)
+        assert np.bincount(group_of).tolist() == [500] * 4
+        f = make(wide, np.random.default_rng(21))
+        got = knn_table(f, ids, group_of, k_neighbors=5, step=7)
+        want = knn_rows(f, ids, group_of, k_neighbors=5, step=7)
+        assert got.last_refresh_step == 7
+        assert set(got.neighbors) == set(want.neighbors)
+        for oid, nb in want.neighbors.items():
+            assert got.of(oid).dtype == np.int64
+            assert np.array_equal(got.of(oid), nb)
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 40])
+    def test_small_groups_and_k_at_least_group_size(self, k):
+        # groups of 2, 4 and 7 rows: k >= size - 1 takes the whole group
+        rng = np.random.default_rng(k)
+        f = np.round(rng.normal(size=(13, 1024)) * 0.5)
+        f[3] = f[0]
+        ids = rng.permutation(np.arange(40, 53))
+        group_of = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2])[rng.permutation(13)]
+        got = knn_table(f, ids, group_of, k_neighbors=k)
+        want = knn_rows(f, ids, group_of, k_neighbors=k)
+        for oid, nb in want.neighbors.items():
+            assert got.of(oid).dtype == np.int64
+            assert np.array_equal(got.of(oid), nb)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_underflowing_and_overflowing_rows(self, scale):
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(40, 32)) * scale
+        ids = np.arange(40)
+        group_of = rng.integers(0, 2, size=40)
+        with np.errstate(over="ignore", under="ignore"):
+            got = knn_table(f, ids, group_of, k_neighbors=4)
+            want = knn_rows(f, ids, group_of, k_neighbors=4)
+        for oid, nb in want.neighbors.items():
+            assert np.array_equal(got.of(oid), nb)
 
 
 def small_corpus(n_objects=200, seed=0, k=4):

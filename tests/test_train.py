@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import groupvec.sampling as sampling_mod
 import groupvec.train as train_mod
+from _oracles import adam_step_expr, knn_rows
 from groupvec.data import SynthConfig, synth_generate_full
 from groupvec.encoder import Params
 from groupvec.losses import LossConfig
@@ -74,12 +76,32 @@ class TestOptimizer:
         assert np.sign(delta[0]) == -1.0 and np.sign(delta[1]) == 1.0
 
     def test_non_finite_gradient_aborts_without_side_effects(self):
-        p = flat_params([1.0])
-        state = OptState(1)
-        bad = flat_params([np.nan])
-        with pytest.raises(FloatingPointError):
-            optimizer_step(p, bad, lr=0.1, weight_decay=0.1, state=state)
-        assert p.data[0] == 1.0 and state.t == 0 and np.all(state.m == 0.0)
+        p = flat_params([1.0, -0.5, 2.0])
+        state = OptState(3)
+        optimizer_step(p, flat_params([0.3, -0.1, 0.2]), lr=0.1, weight_decay=0.1, state=state)
+        before = (p.data.copy(), state.m.copy(), state.v.copy())
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FloatingPointError):
+                optimizer_step(p, flat_params([0.1, bad, 0.2]), lr=0.1, weight_decay=0.1, state=state)
+            assert state.t == 1
+            assert np.array_equal(p.data, before[0])
+            assert np.array_equal(state.m, before[1])
+            assert np.array_equal(state.v, before[2])
+
+    def test_in_place_step_equals_expression_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        n = 4099
+        p = flat_params(rng.normal(size=n))
+        state = OptState(n)
+        ref_p, ref_m, ref_v = p.data.copy(), state.m.copy(), state.v.copy()
+        for t, lr in enumerate([3e-4, 2.5e-4, 1e-3, 7e-5, 5e-4, 1.3e-4, 0.0], start=1):
+            g = rng.normal(size=n) * rng.choice([1e-6, 1.0, 1e3], size=n)
+            optimizer_step(p, flat_params(g), lr=lr, weight_decay=0.01, state=state)
+            ref_p, ref_m, ref_v = adam_step_expr(ref_p, g, lr, 0.01, ref_m, ref_v, t)
+            assert state.t == t
+            assert np.array_equal(p.data, ref_p)
+            assert np.array_equal(state.m, ref_m)
+            assert np.array_equal(state.v, ref_v)
 
 
 def tiny_corpus(seed=0, n=60):
@@ -187,6 +209,37 @@ class TestTrainLoop:
             assert np.array_equal(back.ntable.neighbors[oid], nb)
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
         assert config_digest(back.cfg) == config_digest(cfg)
+
+    def test_loaded_buffers_are_owned_and_writeable(self, tmp_path):
+        table, model = tiny_corpus()
+        state, _ = train(tiny_cfg(), table, model)
+        path = tmp_path / "end.msg1"
+        save_checkpoint(path, state)
+        back = load_checkpoint(path)
+        arrays = [back.opt.m, back.opt.v, back.bank.centroids]
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.owndata
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:]
+        )
+
+    def test_loss_log_unchanged_by_screened_knn(self, monkeypatch):
+        # four refreshes in 12 steps: the Gram-screened table and the
+        # per-row full sort must give the same batches and the same log
+        table, model = tiny_corpus(n=120)
+        cfg = tiny_cfg(steps=12, refresh_period=3, knn=4, teacher_dim=64)
+        _, screened = train(cfg, table, model)
+        calls = []
+
+        def per_row_table(*args):
+            calls.append(args[-1])
+            return knn_rows(*args)
+
+        monkeypatch.setattr(sampling_mod, "knn_table", per_row_table)
+        _, per_row = train(cfg, table, model)
+        assert calls == [0, 3, 6, 9]
+        assert len(screened) == 12
+        assert screened == per_row
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         table, model = tiny_corpus()
