@@ -1,11 +1,13 @@
-"""Pure-NumPy distance kernels.
+"""Distance kernels in NumPy.
 
-Reference implementation of the hot kernels; the compiled module in
-``ckernels.pyx`` mirrors these semantics exactly (same tie-breaks, same
-zero-distance handling). Everything is float64 in, float64 out.
+The losses and the refresh (kNN table, k-means) compute their distances
+here.  Everything is float64 in, float64 out.
 """
 
 import numpy as np
+
+# Name of the kernel implementation, recorded in benchmark headers.
+BACKEND_NAME = "py"
 
 # Above this many multiply-adds the exact broadcast path would allocate a
 # large (n, L, d) temporary, so we switch to the BLAS form.
@@ -66,10 +68,3 @@ def assign_nearest(x, c):
     sq = cross_sqdist(x, c)
     labels = np.argmin(sq, axis=1)
     return labels.astype(np.int64), sq[np.arange(x.shape[0]), labels]
-
-
-def topk_smallest(values, k):
-    """Indices of the k smallest entries, ascending; ties by lower index."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    return order[: int(k)].astype(np.int64)

@@ -17,6 +17,8 @@ cut short anywhere is rejected with "<path>: truncated checkpoint".
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -28,7 +30,7 @@ VERSION = 1
 def write_container(path, header: dict[str, str], blobs: dict[str, np.ndarray]) -> None:
     text = "".join(f"{k} = {header[k]}\n" for k in sorted(header))
     raw = text.encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(raw)))
@@ -43,6 +45,22 @@ def write_container(path, header: dict[str, str], blobs: dict[str, np.ndarray]) 
             for dim in arr.shape:
                 fh.write(struct.pack("<Q", dim))
             fh.write(arr.tobytes())
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Write through the sibling file ``<path>.tmp`` and move it over
+    ``path`` when the block ends, so a run that dies mid-write leaves the
+    previous file whole.  On an error the temporary file is removed."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_exact(fh, n: int, path, what: str) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,51 +31,21 @@ from .metrics import EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, embed_query, query, rank
 from .train import TrainConfig, load_checkpoint, train
 
-# Section key tables double as the unknown-key gate; a unit test keeps
-# them in sync with the dataclass fields.
-SYNTH_TYPES = {
-    "n_classes": int,
-    "zipf_exponent": float,
-    "area_log_mean": float,
-    "area_log_sd": float,
-    "feature_dim": int,
-    "intra_class_sd": float,
-    "scale_noise_gain": float,
-    "seed": int,
-    "n_objects": int,
-    "objects_per_image": int,
-}
-TRAIN_TYPES = {
-    "steps": int,
-    "batch": int,
-    "groups": int,
-    "clusters": int,
-    "knn": int,
-    "refresh_period": int,
-    "n_shared": int,
-    "kmeans_iters": int,
-    "lr": float,
-    "weight_decay": float,
-    "ema_momentum": float,
-    "seed": int,
-    "hidden_dim": int,
-    "trunk_layers": int,
-    "student_dim": int,
-    "teacher_dim": int,
-}
-LOSS_TYPES = {
-    "sigma": float,
-    "delta": float,
-    "tau": float,
-    "epsilon_floor": float,
-    "full_grad": bool,
-}
-EVAL_TYPES = {"topk": int, "max_queries": int}
+
+def _key_types(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Config keys of a dataclass section: each field name and its type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Section key tables double as the unknown-key gate.  ``[train]`` leaves
+# out the nested loss config, which has its own ``[loss]`` section;
+# ``max_queries`` is an eval option, not an EvalConfig field.
 SECTION_TYPES = {
-    "synth": SYNTH_TYPES,
-    "train": TRAIN_TYPES,
-    "loss": LOSS_TYPES,
-    "eval": EVAL_TYPES,
+    "synth": _key_types(SynthConfig),
+    "train": _key_types(TrainConfig, skip=("loss",)),
+    "loss": _key_types(LossConfig),
+    "eval": {"topk": int, "max_queries": int},
 }
 
 

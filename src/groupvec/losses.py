@@ -2,8 +2,7 @@
 
 Everything here is pure float64 array math.  Each loss returns its scalar
 value together with analytic gradients with respect to the student
-embeddings; distance kernels are delegated to the compiled backend when
-it is available.
+embeddings; the distance kernels come from ``backends``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checkpoint import read_exact
+from .checkpoint import atomic_write, read_exact
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
 
@@ -52,7 +52,7 @@ class EmbeddingStore:
         return self.vectors.astype(np.float64)
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(STORE_MAGIC)
             fh.write(struct.pack("<I", STORE_VERSION))
             fh.write(struct.pack("<I", self.dim))

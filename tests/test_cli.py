@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from _oracles import eval_scores_loops
-from groupvec.cli import (
-    LOSS_TYPES,
-    SYNTH_TYPES,
-    TRAIN_TYPES,
-    main,
-    read_config,
-)
+from groupvec.cli import SECTION_TYPES, main, read_config
 from groupvec.data import (
     ObjectRecord,
     ObjectTable,
@@ -116,11 +110,13 @@ class TestConfig:
 
         from groupvec.data import SynthConfig
 
-        assert set(SYNTH_TYPES) == {f.name for f in dataclasses.fields(SynthConfig)}
-        assert set(TRAIN_TYPES) | {"loss"} == {
-            f.name for f in dataclasses.fields(TrainConfig)
-        }
-        assert set(LOSS_TYPES) == {f.name for f in dataclasses.fields(LossConfig)}
+        for section, cls in (("synth", SynthConfig), ("train", TrainConfig), ("loss", LossConfig)):
+            # annotations are strings under postponed evaluation
+            fields = {f.name: f.type for f in dataclasses.fields(cls)}
+            if section == "train":
+                assert fields.pop("loss") == "LossConfig"
+            assert {key: kind.__name__ for key, kind in SECTION_TYPES[section].items()} == fields
+        assert SECTION_TYPES["eval"] == {"topk": int, "max_queries": int}
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "bad.ini", {"synth": {"bogus": 1}})
@@ -526,6 +522,65 @@ class TestTruncatedFiles:
                  "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"],
             )
 
+
+
+class _HalfFullDisk:
+    """A file that takes ``limit`` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.left = fh, limit
+
+    def write(self, data):
+        if len(data) > self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestCrashSafeWrites:
+    @pytest.mark.parametrize("artifact", ["checkpoint", "store"])
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path, monkeypatch, artifact):
+        import builtins
+
+        from groupvec import checkpoint
+
+        _, ckpt, store = tiny_model(tmp_path)
+        if artifact == "checkpoint":
+            path = ckpt
+            header, blobs = checkpoint.read_container(ckpt)
+            blobs = {name: arr + 1.0 for name, arr in blobs.items()}
+
+            def rewrite():
+                checkpoint.write_container(ckpt, header, blobs)
+        else:
+            path = store
+            old_store = EmbeddingStore.load(store)
+            new_store = EmbeddingStore(old_store.vectors + 1.0, old_store.object_ids)
+
+            def rewrite():
+                new_store.save(store)
+        old = path.read_bytes()
+
+        monkeypatch.setattr(
+            checkpoint, "open",
+            lambda file, mode: _HalfFullDisk(builtins.open(file, mode), len(old) // 2),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="No space left"):
+            rewrite()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny", "tiny.ckpt", "tiny.store"]
+
+        monkeypatch.undo()
+        rewrite()
+        assert path.read_bytes() != old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny", "tiny.ckpt", "tiny.store"]
 
 class TestIngest:
     def test_round_trip(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ whole-array expression it replaces.
 import numpy as np
 import pytest
 
-from groupvec.backends import pykernels
+from groupvec import backends
 
 
 @pytest.mark.parametrize(
@@ -23,7 +23,7 @@ def test_cross_sqdist_blocks_equal_one_broadcast(n, m, d):
         c[0] = x[0]
     diff = x[:, None, :] - c[None, :, :]
     want = np.einsum("ijk,ijk->ij", diff, diff)
-    got = pykernels.cross_sqdist(x, c)
+    got = backends.cross_sqdist(x, c)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if n and m:
