@@ -26,7 +26,7 @@ def cross_sqdist(x, c):
     c = np.asarray(c, dtype=np.float64)
     n, d = x.shape
     m = c.shape[0]
-    if n * m * max(d, 1) <= _BROADCAST_BUDGET:
+    if exact_path(n, m, d):
         out = np.empty((n, m), dtype=np.float64)
         rows = max(1, _BLOCK_ELEMS // max(m * d, 1))
         buf = np.empty((min(rows, n), m, d), dtype=np.float64)
@@ -35,9 +35,35 @@ def cross_sqdist(x, c):
             np.subtract(x[s : s + rows, None, :], c[None, :, :], out=diff)
             np.einsum("ijk,ijk->ij", diff, diff, out=out[s : s + rows])
         return out
-    sq = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :]
+    sq = row_sqnorms(x)[:, None] + row_sqnorms(c)[None, :]
     sq -= 2.0 * (x @ c.T)
     return np.maximum(sq, 0.0)
+
+
+def exact_path(n, m, d):
+    """Whether ``cross_sqdist`` of (n, d) against (m, d) rows takes its
+    exact path, whose entries are per-pair sums that do not depend on the
+    other rows (the Gram path's do)."""
+    return n * m * max(d, 1) <= _BROADCAST_BUDGET
+
+
+def row_sqnorms(x):
+    """``(x * x).sum(axis=1)`` to the bit, squaring blocks of about
+    ``_BLOCK_ELEMS`` elements in one reused buffer instead of the whole
+    matrix.  Input that is not C-contiguous takes the one-shot form: its
+    square follows the input's layout, and with it the summation order."""
+    x = np.asarray(x, dtype=np.float64)
+    if not x.flags.c_contiguous:
+        return (x * x).sum(axis=1)
+    n, d = x.shape
+    out = np.empty(n, dtype=np.float64)
+    rows = max(1, _BLOCK_ELEMS // max(d, 1))
+    buf = np.empty((min(rows, n), d), dtype=np.float64)
+    for s in range(0, n, rows):
+        sq = buf[: min(rows, n - s)]
+        np.multiply(x[s : s + rows], x[s : s + rows], out=sq)
+        sq.sum(axis=1, out=out[s : s + rows])
+    return out
 
 
 def pairwise_dist(x):

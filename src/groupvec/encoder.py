@@ -189,16 +189,27 @@ class TeacherNet:
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Wide reference embedding; no gradient path exists through it."""
-        x = _check_input(x, self.cfg.feature_dim)
-        a = self._trunk_forward(x)
-        return a @ self.params.view("proj.w") + self.params.view("proj.b")
+        return self._wide(self._trunk_forward(_check_input(x, self.cfg.feature_dim)))
 
     def head_embed(self, x: np.ndarray, group: int) -> np.ndarray:
         """Group-head embedding from the teacher's EMA-tracked h head."""
+        self._check_group(group)
+        return self._head(self._trunk_forward(_check_input(x, self.cfg.feature_dim)), group)
+
+    def wide_and_head(self, x: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(embed(x), head_embed(x, group))`` from a single trunk pass."""
+        self._check_group(group)
+        a = self._trunk_forward(_check_input(x, self.cfg.feature_dim))
+        return self._wide(a), self._head(a, group)
+
+    def _check_group(self, group: int) -> None:
         if not 0 <= group < self.cfg.groups:
             raise ValueError(f"group index {group} out of range [0, {self.cfg.groups})")
-        x = _check_input(x, self.cfg.feature_dim)
-        a = self._trunk_forward(x)
+
+    def _wide(self, a: np.ndarray) -> np.ndarray:
+        return a @ self.params.view("proj.w") + self.params.view("proj.b")
+
+    def _head(self, a: np.ndarray, group: int) -> np.ndarray:
         return a @ self.params.view(f"head_h{group}.w") + self.params.view(f"head_h{group}.b")
 
 

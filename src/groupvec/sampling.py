@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import assign_nearest, cross_sqdist
+from .backends import assign_nearest, cross_sqdist, exact_path, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
 
@@ -54,15 +54,55 @@ class Batch:
 
 
 def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
-    n = f.shape[0]
+    """Farthest-point seeding: each new centre is the row farthest from the
+    centres so far (ties to the lowest index).
+
+    Each new centre is screened against every row with one Gram product
+    under ``_gram_slack``; only rows whose screened distance minus the
+    slack does not exceed their current minimum can lower it, so only
+    those are measured with ``cross_sqdist`` and the minima are the same
+    to the bit as measuring every row.  Every row is measured when a
+    screened value is not finite, or when ``cross_sqdist`` would take its
+    Gram path for the whole matrix (its values are then not per-row sums).
+    """
+    n, dim = f.shape
     chosen = [int(rng.integers(n))]
     mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    screen = exact_path(n, 1, dim)
+    sq = row_sqnorms(f)
     while len(chosen) < n_clusters:
         # ties go to the lowest index via argmax on the raw array
         nxt = int(np.argmax(mind))
         chosen.append(nxt)
-        mind = np.minimum(mind, cross_sqdist(f, f[nxt][None, :]).ravel())
+        rows = slice(None)
+        if screen:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = sq + sq[nxt]
+                approx = total - 2.0 * (f @ f[nxt])
+                if np.isfinite(approx).all():
+                    rows = np.flatnonzero(approx - _gram_slack(total, dim) <= mind)
+        mind[rows] = np.minimum(mind[rows], cross_sqdist(f[rows], f[nxt][None, :]).ravel())
     return f[np.array(chosen)].copy()
+
+
+def _cluster_sums(f: np.ndarray, assign: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Per-cluster row sums, each adding its rows in row order from +0.0,
+    as ``np.add.at`` does, to the bit.
+
+    A cluster's rows are gathered by a stable sort of ``assign`` into one
+    C-contiguous block, and a sum over its first axis adds them one row at
+    a time.  A single column keeps ``np.add.at``: NumPy sums it pairwise.
+    """
+    sums = np.zeros((n_clusters, f.shape[1]), dtype=np.float64)
+    if f.shape[1] == 1:
+        np.add.at(sums, assign, f)
+        return sums
+    counts = np.bincount(assign, minlength=n_clusters)
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        sums[j] = f[order[ends[j] - counts[j] : ends[j]]].sum(axis=0)
+    return sums
 
 
 def _lloyd(f: np.ndarray, n_clusters: int, iters: int, rng: np.random.Generator):
@@ -95,8 +135,7 @@ def _lloyd(f: np.ndarray, n_clusters: int, iters: int, rng: np.random.Generator)
                 pending.append(old)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        sums = np.zeros_like(cents)
-        np.add.at(sums, assign, f)
+        sums = _cluster_sums(f, assign, n_clusters)
         filled = np.maximum(np.bincount(assign, minlength=n_clusters), 1)
         cents = sums / filled[:, None]
         prev_assign = assign
@@ -161,21 +200,13 @@ def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
     ``take``-th exact distance, ties included.  A group with a non-finite
     screened value keeps every row.
     """
-    # Slack: with unit roundoff u = eps/2 and total = |x|^2 + |y|^2, each
-    # squared norm and the dot product is off by at most D u total (any
-    # summation order, fused or not), the two final additions by
-    # 2 u (2 total), and the exact per-row sum by (D + 2) u (2 total):
-    # (2 D + 4) eps total in all.  Every underflowing product adds at most
-    # one smallest subnormal, 5 D of them.  The factor 8 covers the
-    # second-order terms and the rounding of the slack itself.
-    f64 = np.finfo(np.float64)
     n, dim = sub.shape
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", sub, sub)
         total = sq[:, None] + sq[None, :]
         approx = total - 2.0 * (sub @ sub.T)
         if np.isfinite(approx).all():
-            slack = 8.0 * (dim + 4) * (f64.eps * total + f64.smallest_subnormal)
+            slack = _gram_slack(total, dim)
             upper = approx + slack
             np.fill_diagonal(upper, np.inf)
             kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
@@ -184,6 +215,21 @@ def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
             keep = np.ones((n, n), dtype=bool)
     np.fill_diagonal(keep, False)
     return [np.flatnonzero(row) for row in keep]
+
+
+def _gram_slack(total: np.ndarray, dim: int) -> np.ndarray:
+    """Bound on the gap between a screened distance ``|x|^2 + |y|^2 - 2 x.y``
+    (``total = |x|^2 + |y|^2``, ``dim`` columns) and the exact per-row sum
+    ``((x - y) ** 2).sum()``; a row whose screened distance minus this
+    slack exceeds a threshold has an exact distance above it."""
+    # With unit roundoff u = eps/2, each squared norm and the dot product
+    # is off by at most D u total (any summation order, fused or not), the
+    # two final additions by 2 u (2 total), and the exact per-row sum by
+    # (D + 2) u (2 total): (2 D + 4) eps total in all.  Every underflowing
+    # product adds at most one smallest subnormal, 5 D of them.  The factor
+    # 8 covers the second-order terms and the rounding of the slack itself.
+    f64 = np.finfo(np.float64)
+    return 8.0 * (dim + 4) * (f64.eps * total + f64.smallest_subnormal)
 
 
 def assemble_batch(
@@ -252,17 +298,23 @@ def refresh(
     from the teacher's wide embedding; centroids cluster the teacher's
     per-group head embeddings of every object, so they live in the same
     space as the similarity rows computed during training.
+
+    Both embeddings of a group come from one teacher trunk pass, and the
+    kNN table is built one group at a time, so no wide embedding of the
+    whole corpus is ever held.
     """
     if step % period != 0:
         return bank, table
     tbl = groups.table
     feats = provider.base_features(tbl.ids)
-    wide = teacher.embed(feats)
-    table = knn_table(wide, tbl.ids, groups.assignment, k_neighbors, step)
     head = np.empty((len(tbl.ids), teacher.cfg.student_dim), dtype=np.float64)
+    neighbors: dict[int, np.ndarray] = {}
     for m in range(groups.k):
         rows = groups.group_rows(m)
         if rows.size:
-            head[rows] = teacher.head_embed(feats[rows], m)
+            wide, head[rows] = teacher.wide_and_head(feats[rows], m)
+            group_table = knn_table(wide, tbl.ids[rows], np.full(rows.size, m), k_neighbors, step)
+            neighbors.update(group_table.neighbors)
+    table = NeighborTable(neighbors=neighbors, last_refresh_step=step)
     bank = kmeans(head, n_clusters, kmeans_iters, seed=seed + step, step=step)
     return bank, table

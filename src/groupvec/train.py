@@ -82,6 +82,11 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
 
 
+# Elements per block of the optimizer update: its six vectors' blocks stay
+# in cache, where the whole-vector form streams 10 MB arrays about 15 times.
+_OPT_BLOCK = 2**15
+
+
 class OptState:
     """First/second moment accumulators for one flat parameter vector."""
 
@@ -104,8 +109,9 @@ def optimizer_step(
     """Adaptive-moment update with bias correction and decoupled decay.
 
     Aborts without touching any state if the gradient is not finite.
-    Works in place through two per-call buffers, with the operations and
-    their order of the expression form
+    Works in place, over blocks of ``_OPT_BLOCK`` elements through two
+    block-sized buffers, with the operations and their order of the
+    expression form
     ``p -= lr * m_hat / (sqrt(v_hat) + eps); p -= lr * wd * p``, so the
     result is the same to the bit.
     """
@@ -113,21 +119,26 @@ def optimizer_step(
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient; optimizer step aborted")
     state.t += 1
-    a = np.empty_like(g)
-    b = np.empty_like(g)
-    m, v, p = state.m, state.v, params.data
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=a)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=b)
-    v += np.multiply(b, g, out=b)
-    np.divide(m, 1.0 - state.beta1**state.t, out=a)
-    a *= lr
-    np.divide(v, 1.0 - state.beta2**state.t, out=b)
-    np.sqrt(b, out=b)
-    b += state.eps
-    p -= np.divide(a, b, out=a)
-    p -= np.multiply(p, lr * weight_decay, out=a)
+    c1 = 1.0 - state.beta1**state.t
+    c2 = 1.0 - state.beta2**state.t
+    a_buf = np.empty(min(_OPT_BLOCK, g.size), dtype=np.float64)
+    b_buf = np.empty_like(a_buf)
+    for s in range(0, g.size, _OPT_BLOCK):
+        blk = slice(s, s + _OPT_BLOCK)
+        gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.data[blk]
+        a, b = a_buf[: gb.size], b_buf[: gb.size]
+        m *= state.beta1
+        m += np.multiply(gb, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(gb, 1.0 - state.beta2, out=b)
+        v += np.multiply(b, gb, out=b)
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
+        p -= np.multiply(p, lr * weight_decay, out=a)
     return params
 
 
@@ -274,15 +285,19 @@ def load_checkpoint(path) -> TrainState:
     raw = json.loads(header["config"])
     raw["loss"] = LossConfig(**raw["loss"])
     cfg = TrainConfig(**raw)
-    feature_dim = int(header["feature_dim"])
-    state = init_state(cfg, feature_dim)
-    state.student.params.data[:] = blobs["student.data"]
-    state.teacher.params.data[:] = blobs["teacher.data"]
-    state.opt.m = blobs["opt.m"]
-    state.opt.v = blobs["opt.v"]
-    state.opt.t = int(blobs["opt.t"])
+    enc = cfg.encoder_config(int(header["feature_dim"]))
+    student, teacher = StudentNet(enc), TeacherNet(enc)
+    # the file's arrays are fresh and owned, so they become the state as
+    # they are, with no initialization to overwrite
+    for name, params in (("student.data", student.params), ("teacher.data", teacher.params)):
+        if blobs[name].shape != params.data.shape:
+            raise ValueError(f"{path}: {name} has shape {blobs[name].shape}, the config needs {params.data.shape}")
+        params.data = blobs[name]
+    opt = OptState(0)
+    opt.m, opt.v, opt.t = blobs["opt.m"], blobs["opt.v"], int(blobs["opt.t"])
+    bank = ntable = None
     if "bank.centroids" in blobs:
-        state.bank = CentroidBank(
+        bank = CentroidBank(
             centroids=blobs["bank.centroids"],
             last_refresh_step=int(blobs["bank.step"]),
         )
@@ -290,9 +305,10 @@ def load_checkpoint(path) -> TrainState:
         neighbors = {}
         for oid, row in zip(blobs["nt.ids"], blobs["nt.rows"]):
             neighbors[int(oid)] = row[row >= 0].astype(np.int64)
-        state.ntable = NeighborTable(
-            neighbors=neighbors, last_refresh_step=int(blobs["nt.step"])
-        )
-    state.rng.bit_generator.state = json.loads(header["rng_state"])
-    state.step = int(header["step"])
-    return state
+        ntable = NeighborTable(neighbors=neighbors, last_refresh_step=int(blobs["nt.step"]))
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.state = json.loads(header["rng_state"])
+    return TrainState(
+        cfg=cfg, student=student, teacher=teacher, opt=opt, bank=bank,
+        ntable=ntable, rng=rng, step=int(header["step"]),
+    )

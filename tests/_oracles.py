@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from groupvec.sampling import NeighborTable
+from groupvec.backends import cross_sqdist
+from groupvec.sampling import NeighborTable, kmeans, knn_table
 
 
 def fd_grad(fun, x, eps=1e-5):
@@ -289,3 +290,60 @@ def adam_step_expr(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps=
     p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     p = p - lr * weight_decay * p
     return p, m, v
+
+
+def adam_step_whole(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The same step in place over the whole vectors through two
+    whole-vector buffers; updates ``p``, ``m`` and ``v``.  ``t`` is the
+    step count after the increment."""
+    a = np.empty_like(g)
+    b = np.empty_like(g)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=a)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=b)
+    v += np.multiply(b, g, out=b)
+    np.divide(m, 1.0 - beta1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    p -= np.divide(a, b, out=a)
+    p -= np.multiply(p, lr * weight_decay, out=a)
+
+
+def farthest_point_loop(f, n_clusters, rng):
+    """Farthest-point seeding that measures every row against each new
+    centre with ``cross_sqdist``.  Same signature and result as
+    ``sampling._farthest_point_init``."""
+    chosen = [int(rng.integers(f.shape[0]))]
+    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    while len(chosen) < n_clusters:
+        nxt = int(np.argmax(mind))
+        chosen.append(nxt)
+        mind = np.minimum(mind, cross_sqdist(f, f[nxt][None, :]).ravel())
+    return f[np.array(chosen)].copy()
+
+
+def cluster_sums_add_at(f, assign, n_clusters):
+    """Per-cluster row sums by ``np.add.at``: each row added in row order
+    into a +0.0 start."""
+    sums = np.zeros((n_clusters, f.shape[1]))
+    np.add.at(sums, assign, f)
+    return sums
+
+
+def refresh_composition(step, teacher, groups, provider, n_clusters=100,
+                        k_neighbors=5, kmeans_iters=20, seed=0):
+    """A firing refresh composed of the whole-corpus calls: the kNN table
+    of ``teacher.embed`` of every object, and k-means of the stacked
+    per-group ``head_embed``.  Returns ``(bank, table)``."""
+    ids = groups.table.ids
+    feats = provider.base_features(ids)
+    table = knn_table(teacher.embed(feats), ids, groups.assignment, k_neighbors, step)
+    head = np.empty((len(ids), teacher.cfg.student_dim))
+    for m in range(groups.k):
+        rows = groups.group_rows(m)
+        if rows.size:
+            head[rows] = teacher.head_embed(feats[rows], m)
+    return kmeans(head, n_clusters, kmeans_iters, seed=seed + step, step=step), table

@@ -26,6 +26,17 @@ def test_empty_input():
     assert teacher.embed(np.zeros((0, 6))).shape == (0, 12)
 
 
+def test_wide_and_head_equal_the_separate_embeddings():
+    teacher = TeacherNet.from_student(StudentNet.init(CFG, seed=0), seed=5)
+    x = np.random.default_rng(2).normal(size=(9, 6))
+    for group in range(CFG.groups):
+        wide, head = teacher.wide_and_head(x, group)
+        assert np.array_equal(wide.view(np.int64), teacher.embed(x).view(np.int64))
+        assert np.array_equal(head.view(np.int64), teacher.head_embed(x, group).view(np.int64))
+    with pytest.raises(ValueError, match="group index"):
+        teacher.wide_and_head(x, CFG.groups)
+
+
 def test_group_out_of_range():
     net = StudentNet.init(CFG, seed=0)
     with pytest.raises(ValueError):

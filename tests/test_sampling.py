@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import knn_loops, knn_rows
+import groupvec.backends as backends_mod
+import groupvec.sampling as sampling_mod
+from _oracles import (
+    cluster_sums_add_at,
+    farthest_point_loop,
+    knn_loops,
+    knn_rows,
+    refresh_composition,
+)
 from groupvec.data import SynthConfig, partition_by_scale, synth_generate_full
 from groupvec.encoder import EncoderConfig, StudentNet, TeacherNet
 from groupvec.sampling import (
@@ -12,8 +22,16 @@ from groupvec.sampling import (
     kmeans,
     knn_table,
     refresh,
+    _cluster_sums,
+    _farthest_point_init,
     _lloyd,
 )
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != +0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestKmeans:
@@ -114,17 +132,36 @@ class TestKnnTable:
 
 
 @pytest.fixture(scope="module")
-def refresh_scale():
-    """The teacher's wide embedding of a 2000-object corpus in its four
-    scale groups of 500: the input of a default refresh."""
+def corpus_2000():
+    """A 2000-object corpus in four scale groups of 500 and a fresh teacher
+    of the default sizes: the inputs of a default refresh."""
     table, feats, model = synth_generate_full(SynthConfig(n_objects=2000, seed=0))
     enc = EncoderConfig(
         feature_dim=feats.shape[1], groups=4, hidden_dim=256, trunk_layers=2,
         student_dim=512, teacher_dim=1024,
     )
     teacher = TeacherNet.from_student(StudentNet.init(enc, seed=0), seed=1)
-    wide = teacher.embed(model.base_features(table.ids))
-    return wide, table.ids, partition_by_scale(table, 4).assignment
+    return teacher, partition_by_scale(table, 4), model
+
+
+@pytest.fixture(scope="module")
+def refresh_scale(corpus_2000):
+    """The teacher's wide embedding of that corpus: the kNN input."""
+    teacher, groups, model = corpus_2000
+    wide = teacher.embed(model.base_features(groups.table.ids))
+    return wide, groups.table.ids, groups.assignment
+
+
+@pytest.fixture(scope="module")
+def head_scale(corpus_2000):
+    """The teacher's stacked per-group head embeddings: the k-means input."""
+    teacher, groups, model = corpus_2000
+    feats = model.base_features(groups.table.ids)
+    head = np.empty((feats.shape[0], 512))
+    for m in range(groups.k):
+        rows = groups.group_rows(m)
+        head[rows] = teacher.head_embed(feats[rows], m)
+    return head
 
 
 def _planted_duplicates(f, rng):
@@ -191,6 +228,104 @@ class TestKnnTableAtRefreshScale:
             want = knn_rows(f, ids, group_of, k_neighbors=4)
         for oid, nb in want.neighbors.items():
             assert np.array_equal(got.of(oid), nb)
+
+
+def _measured_rows(monkeypatch):
+    """Record the row count of every ``cross_sqdist`` call the sampler makes."""
+    sizes = []
+
+    def counting(x, c):
+        sizes.append(len(x))
+        return backends_mod.cross_sqdist(x, c)
+
+    monkeypatch.setattr(sampling_mod, "cross_sqdist", counting)
+    return sizes
+
+
+class TestScreenedSeeding:
+    """Screened farthest-point seeding picks the same centres, to the bit,
+    as measuring every row against every new centre."""
+
+    @pytest.mark.parametrize(
+        "make, max_share",
+        [
+            # on the head embedding the screen measures a few percent of
+            # the row-centre pairs
+            (lambda h, rng: h, 0.2),
+            (lambda h, rng: h + 1e4, 1.0),  # the Gram form cancels most digits
+            (lambda h, rng: np.round(rng.normal(size=h.shape) * 0.7), 1.0),  # ties everywhere
+            # ties the Gram form rounds apart: fails without the slack
+            (lambda h, rng: 0.1 * np.round(rng.normal(size=h.shape) * 0.7), 1.0),
+        ],
+        ids=["head", "offset_1e4", "lattice_ties", "decimal_lattice_ties"],
+    )
+    def test_equals_unscreened_loop(self, head_scale, make, max_share, monkeypatch):
+        f = make(head_scale, np.random.default_rng(5))
+        sizes = _measured_rows(monkeypatch)
+        got = _farthest_point_init(f, 100, np.random.default_rng(3))
+        assert sizes[0] == 2000 and len(sizes) <= 100
+        assert sum(sizes[1:]) <= max_share * 2000 * 99
+        monkeypatch.undo()
+        assert same_bits(got, farthest_point_loop(f, 100, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 13, 64])
+    def test_odd_widths_and_row_scales(self, dim):
+        rng = np.random.default_rng(dim)
+        f = rng.normal(size=(257, dim)) * 10.0 ** rng.uniform(-3, 3, size=(257, 1))
+        f[40] = f[3]
+        got = _farthest_point_init(f, 30, np.random.default_rng(dim))
+        assert same_bits(got, farthest_point_loop(f, 30, np.random.default_rng(dim)))
+
+    def test_non_finite_screen_measures_every_row(self, monkeypatch):
+        # two rows whose squared norms overflow make every screen non-finite
+        rng = np.random.default_rng(8)
+        f = rng.normal(size=(300, 16))
+        f[[7, 120]] *= 1e155
+        sizes = _measured_rows(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _farthest_point_init(f, 20, np.random.default_rng(2))
+            monkeypatch.undo()
+            want = farthest_point_loop(f, 20, np.random.default_rng(2))
+        assert sizes == [300] * 20
+        assert same_bits(got, want)
+
+    def test_gram_path_inputs_measure_every_row(self, monkeypatch):
+        # where cross_sqdist takes its Gram path for the whole matrix its
+        # values are not per-row sums, so no row may be skipped
+        monkeypatch.setattr(backends_mod, "_BROADCAST_BUDGET", 1000)
+        f = np.random.default_rng(9).normal(size=(300, 16)) + 50.0
+        want = farthest_point_loop(f, 20, np.random.default_rng(4))
+        sizes = _measured_rows(monkeypatch)
+        got = _farthest_point_init(f, 20, np.random.default_rng(4))
+        assert sizes == [300] * 20
+        assert same_bits(got, want)
+
+
+class TestClusterSums:
+    """The per-cluster sums equal ``np.add.at`` to the bit."""
+
+    def test_random_cases_with_wide_row_scale_spread(self):
+        rng = np.random.default_rng(0)
+        for trial in range(30):
+            n = int(rng.integers(1, 2001))
+            dim = (1, 2, 3, 17, 512)[trial % 5]
+            n_clusters = int(rng.integers(1, 120))
+            f = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+            assign = rng.integers(0, n_clusters, size=n)
+            want = cluster_sums_add_at(f, assign, n_clusters)
+            assert same_bits(_cluster_sums(f, assign, n_clusters), want)
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_adversarial_clusters(self, dim):
+        rng = np.random.default_rng(dim)
+        f = rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-1, 1, size=(40, 1))  # 100x spread
+        f[:, -1] = -0.0
+        assign = rng.integers(2, 6, size=40)
+        assign[17] = 0  # one-row cluster; cluster 1 stays empty
+        got = _cluster_sums(f, assign, 6)
+        assert same_bits(got, cluster_sums_add_at(f, assign, 6))
+        assert not np.signbit(got[:, -1]).any()  # all -0.0 sums to +0.0
+        assert same_bits(got[1], np.zeros(dim))
 
 
 def small_corpus(n_objects=200, seed=0, k=4):
@@ -331,3 +466,44 @@ class TestRefresh:
         )
         assert np.array_equal(a[0].centroids, b[0].centroids)
         assert all(np.array_equal(a[1].of(i), b[1].of(i)) for i in self.table.ids)
+
+    def test_equals_whole_corpus_composition(self):
+        got_bank, got_nt = refresh(
+            5, 5, self.teacher, self.groups, self.model, None, None,
+            n_clusters=10, k_neighbors=3, kmeans_iters=8, seed=2,
+        )
+        want_bank, want_nt = refresh_composition(
+            5, self.teacher, self.groups, self.model, n_clusters=10,
+            k_neighbors=3, kmeans_iters=8, seed=2,
+        )
+        assert same_bits(got_bank.centroids, want_bank.centroids)
+        assert got_bank.last_refresh_step == got_nt.last_refresh_step == 5
+        assert set(got_nt.neighbors) == set(want_nt.neighbors)
+        for oid, nb in want_nt.neighbors.items():
+            assert got_nt.of(oid).dtype == np.int64
+            assert np.array_equal(got_nt.of(oid), nb)
+
+
+def test_default_refresh_equals_whole_corpus_composition(corpus_2000):
+    teacher, groups, model = corpus_2000
+    got_bank, got_nt = refresh(0, 1000, teacher, groups, model, None, None)
+    want_bank, want_nt = refresh_composition(0, teacher, groups, model)
+    assert same_bits(got_bank.centroids, want_bank.centroids)
+    for oid, nb in want_nt.neighbors.items():
+        assert np.array_equal(got_nt.of(oid), nb)
+
+
+def test_default_refresh_traced_memory_peak(corpus_2000):
+    # Traced allocation peak above baseline of a default refresh on 2000
+    # objects: 37.4 MB when the wide embedding of the whole corpus (16 MB)
+    # fed one kNN call, 30.7 MB with one teacher pass and one kNN call per
+    # group.
+    teacher, groups, model = corpus_2000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        refresh(0, 1000, teacher, groups, model, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 32e6

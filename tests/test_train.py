@@ -5,7 +5,8 @@ import pytest
 
 import groupvec.sampling as sampling_mod
 import groupvec.train as train_mod
-from _oracles import adam_step_expr, knn_rows
+from _oracles import adam_step_expr, adam_step_whole, knn_rows
+from groupvec.checkpoint import read_container, write_container
 from groupvec.data import SynthConfig, synth_generate_full
 from groupvec.encoder import Params
 from groupvec.losses import LossConfig
@@ -102,6 +103,22 @@ class TestOptimizer:
             assert np.array_equal(p.data, ref_p)
             assert np.array_equal(state.m, ref_m)
             assert np.array_equal(state.v, ref_v)
+
+
+    @pytest.mark.parametrize("n", [1000, 2 * train_mod._OPT_BLOCK + 4099])
+    def test_blocked_step_equals_whole_vector_form(self, n):
+        # one block smaller than the block size, and a partial last block
+        rng = np.random.default_rng(n)
+        p = flat_params(rng.normal(size=n))
+        state = OptState(n)
+        ref_p, ref_m, ref_v = p.data.copy(), state.m.copy(), state.v.copy()
+        for t in range(1, 13):
+            lr = cosine_lr(t - 1, 12, 1e-3)
+            g = rng.normal(size=n) * rng.choice([1e-6, 1.0, 1e3], size=n)
+            optimizer_step(p, flat_params(g), lr=lr, weight_decay=0.01, state=state)
+            adam_step_whole(ref_p, g, lr, 0.01, ref_m, ref_v, t)
+            for got, want in ((p.data, ref_p), (state.m, ref_m), (state.v, ref_v)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def tiny_corpus(seed=0, n=60):
@@ -223,6 +240,17 @@ class TestTrainLoop:
             np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:]
         )
 
+    def test_checkpoint_with_wrong_parameter_count_is_rejected(self, tmp_path):
+        table, model = tiny_corpus()
+        state, _ = train(tiny_cfg(steps=1), table, model)
+        path = tmp_path / "end.msg1"
+        save_checkpoint(path, state)
+        header, blobs = read_container(path)
+        blobs["teacher.data"] = blobs["teacher.data"][:-1]
+        write_container(path, header, blobs)
+        with pytest.raises(ValueError, match="teacher.data"):
+            load_checkpoint(path)
+
     def test_loss_log_unchanged_by_screened_knn(self, monkeypatch):
         # four refreshes in 12 steps: the Gram-screened table and the
         # per-row full sort must give the same batches and the same log
@@ -237,7 +265,8 @@ class TestTrainLoop:
 
         monkeypatch.setattr(sampling_mod, "knn_table", per_row_table)
         _, per_row = train(cfg, table, model)
-        assert calls == [0, 3, 6, 9]
+        # one knn_table call per group at each refresh step
+        assert calls == [s for s in (0, 3, 6, 9) for _ in range(cfg.groups)]
         assert len(screened) == 12
         assert screened == per_row
 
