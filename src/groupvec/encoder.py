@@ -213,8 +213,20 @@ class TeacherNet:
         return a @ self.params.view(f"head_h{group}.w") + self.params.view(f"head_h{group}.b")
 
 
+# Elements per block of the EMA pass, as in the optimizer's update.
+_EMA_BLOCK = 2**15
+
+
 def ema_update(teacher: TeacherNet, student: StudentNet, momentum: float) -> None:
-    """theta_t <- momentum * theta_t + (1 - momentum) * theta_s on shared names."""
+    """theta_t <- momentum * theta_t + (1 - momentum) * theta_s on shared names.
+
+    The student's parameters are the leading part of the teacher's flat
+    vector (shared names first, in the same order, then ``proj.*``), so the
+    update is one pass over that prefix in blocks of ``_EMA_BLOCK``
+    elements through one block buffer.  Every element gets the operations
+    of ``tv *= momentum; tv += (1 - momentum) * sv``, so the bits are those
+    of the per-name form.
+    """
     if not 0.0 <= momentum <= 1.0:
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
     for name, shape in student.params.shapes:
@@ -224,5 +236,12 @@ def ema_update(teacher: TeacherNet, student: StudentNet, momentum: float) -> Non
         sv = student.params.view(name)
         if tv.shape != sv.shape:
             raise ValueError(f"shape mismatch for {name}: {tv.shape} vs {sv.shape}")
-        tv *= momentum
-        tv += (1.0 - momentum) * sv
+    if teacher.params.shapes[: len(student.params.shapes)] != student.params.shapes:
+        raise ValueError("teacher's shared parameters are not in the student's order")
+    src = student.params.data
+    dst = teacher.params.data[: src.size]
+    buf = np.empty(min(_EMA_BLOCK, src.size), dtype=np.float64)
+    for s in range(0, src.size, _EMA_BLOCK):
+        t = dst[s : s + _EMA_BLOCK]
+        t *= momentum
+        t += np.multiply(src[s : s + _EMA_BLOCK], 1.0 - momentum, out=buf[: t.size])

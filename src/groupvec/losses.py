@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import cross_sqdist, pairwise_dist, pairwise_dist_grad
+from .backends import cross_sqdist, pairwise_dist, pairwise_dist_grad, self_sqdist
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +77,27 @@ def _relative_vjp(cache, g: np.ndarray) -> np.ndarray:
 
 def pair_weights(f_t: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian affinity exp(-squared distance / sigma) between rows of f_t."""
+    return np.exp(-self_sqdist(f_t) / sigma)
+
+
+def _teacher_weights(f_t: np.ndarray, n: int, cfg: LossConfig) -> np.ndarray:
     f_t = np.asarray(f_t, dtype=np.float64)
-    return np.exp(-cross_sqdist(f_t, f_t) / sigma)
+    if f_t.ndim != 2 or f_t.shape[0] != n:
+        raise ValueError("teacher rows must match student rows")
+    return pair_weights(f_t, cfg.sigma)
+
+
+def _contrastive_term(rel, w: np.ndarray, cfg: LossConfig):
+    """``relaxed_contrastive`` from ``_relative_cached(f)`` and the teacher
+    affinities ``w``."""
+    d, cache = rel
+    n = d.shape[0]
+    hinge = np.maximum(cfg.delta - d, 0.0)
+    off = ~np.eye(n, dtype=bool)
+    loss = float((w[off] * d[off] ** 2 + (1.0 - w[off]) * hinge[off] ** 2).sum() / n)
+    g = np.zeros_like(d)
+    g[off] = (2.0 * w[off] * d[off] - 2.0 * (1.0 - w[off]) * hinge[off]) / n
+    return loss, _relative_vjp(cache, g)
 
 
 def relaxed_contrastive(f: np.ndarray, f_t: np.ndarray, cfg: LossConfig):
@@ -90,18 +109,8 @@ def relaxed_contrastive(f: np.ndarray, f_t: np.ndarray, cfg: LossConfig):
 
     Returns ``(loss, d_f)``.
     """
-    d, cache = _relative_cached(f)
-    f_t = np.asarray(f_t, dtype=np.float64)
-    n = d.shape[0]
-    if f_t.ndim != 2 or f_t.shape[0] != n:
-        raise ValueError("teacher rows must match student rows")
-    w = pair_weights(f_t, cfg.sigma)
-    hinge = np.maximum(cfg.delta - d, 0.0)
-    off = ~np.eye(n, dtype=bool)
-    loss = float((w[off] * d[off] ** 2 + (1.0 - w[off]) * hinge[off] ** 2).sum() / n)
-    g = np.zeros_like(d)
-    g[off] = (2.0 * w[off] * d[off] - 2.0 * (1.0 - w[off]) * hinge[off]) / n
-    return loss, _relative_vjp(cache, g)
+    rel = _relative_cached(f)
+    return _contrastive_term(rel, _teacher_weights(f_t, rel[0].shape[0], cfg), cfg)
 
 
 def _masked_log_softmax(z: np.ndarray):
@@ -122,19 +131,10 @@ def _masked_log_softmax(z: np.ndarray):
     return p, logp
 
 
-def self_distill(f_h: np.ndarray, f_l: np.ndarray, cfg: LossConfig | None = None):
-    """Row-wise KL between distance softmaxes of two embeddings of a batch.
-
-    The softmax over negated relative distances of ``f_l`` is the target
-    distribution; the one from ``f_h`` is matched to it.  With the default
-    ``cfg.full_grad=False`` the target is frozen and ``d_f_l`` is exactly
-    zero; the ``d_f_h`` gradient is identical in both modes.
-
-    Returns ``(loss, d_f_h, d_f_l)``.
-    """
-    cfg = cfg if cfg is not None else LossConfig()
-    d_h, cache_h = _relative_cached(f_h)
-    d_l, cache_l = _relative_cached(f_l)
+def _distill_term(rel_h, rel_l, cfg: LossConfig):
+    """``self_distill`` from ``_relative_cached`` of both embeddings."""
+    d_h, cache_h = rel_h
+    d_l, cache_l = rel_l
     if d_h.shape != d_l.shape:
         raise ValueError("embedding row counts differ")
     n = d_h.shape[0]
@@ -153,18 +153,18 @@ def self_distill(f_h: np.ndarray, f_l: np.ndarray, cfg: LossConfig | None = None
     return loss, d_fh, d_fl
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Row-stochastic soft assignment of objects to centroids."""
+def self_distill(f_h: np.ndarray, f_l: np.ndarray, cfg: LossConfig | None = None):
+    """Row-wise KL between distance softmaxes of two embeddings of a batch.
 
-    object_ids: np.ndarray
-    values: np.ndarray
+    The softmax over negated relative distances of ``f_l`` is the target
+    distribution; the one from ``f_h`` is matched to it.  With the default
+    ``cfg.full_grad=False`` the target is frozen and ``d_f_l`` is exactly
+    zero; the ``d_f_h`` gradient is identical in both modes.
 
-    def row_for(self, object_id: int) -> np.ndarray:
-        idx = np.flatnonzero(self.object_ids == object_id)
-        if idx.size == 0:
-            raise KeyError(f"object {object_id} has no similarity row")
-        return self.values[idx[0]]
+    Returns ``(loss, d_f_h, d_f_l)``.
+    """
+    cfg = cfg if cfg is not None else LossConfig()
+    return _distill_term(_relative_cached(f_h), _relative_cached(f_l), cfg)
 
 
 def _centroid_sim_fwd(f: np.ndarray, c: np.ndarray, cfg: LossConfig):
@@ -193,57 +193,6 @@ def _centroid_sim_vjp(cache, ds: np.ndarray, cfg: LossConfig) -> np.ndarray:
     dz = soft * (dsoft - (dsoft * soft).sum(axis=1)[:, None])
     dsq = -dz / cfg.tau
     return 2.0 * (dsq.sum(axis=1)[:, None] * f - dsq @ c)
-
-
-def centroid_similarity(
-    f: np.ndarray,
-    c: np.ndarray,
-    cfg: LossConfig,
-    object_ids: np.ndarray | None = None,
-) -> SimilarityMatrix:
-    """Softmax of negated squared distances to centroids, floored and renormalized.
-
-    Rows sum to one; every entry stays within a factor ``1 + L*epsilon_floor``
-    of at least ``epsilon_floor``, keeping downstream logs finite.
-    """
-    sm, _ = _centroid_sim_fwd(f, c, cfg)
-    if object_ids is None:
-        object_ids = np.arange(sm.shape[0], dtype=np.int64)
-    object_ids = np.asarray(object_ids, dtype=np.int64)
-    if object_ids.shape != (sm.shape[0],):
-        raise ValueError("one object id per row required")
-    return SimilarityMatrix(object_ids=object_ids, values=sm)
-
-
-def ckd_pair(s_a: SimilarityMatrix, s_b: SimilarityMatrix, shared: Sequence[int]) -> float:
-    """Mean cross-row alignment cost over shared objects.
-
-    Implemented as the cross-entropy of the second group's rows under the
-    first group's rows, so the value is bounded below by the mean row
-    entropy of ``s_a`` and is not symmetric in its arguments.
-    """
-    shared = list(shared)
-    if not shared:
-        log.warning("no shared objects between the two groups; pair term is 0")
-        return 0.0
-    p = np.stack([s_a.row_for(i) for i in shared])
-    q = np.stack([s_b.row_for(i) for i in shared])
-    return float(np.mean(-(p * np.log(q)).sum(axis=1)))
-
-
-def ckd_total(mats: Sequence[SimilarityMatrix], shared: Sequence[int]) -> float:
-    """Mean pair alignment cost over the k(k-1)/2 unordered group pairs.
-
-    Each unordered pair (a, b) with a < b contributes one directed term.
-    """
-    k = len(mats)
-    if k < 2:
-        log.warning("cross-group alignment needs at least two groups; returning 0")
-        return 0.0
-    vals = [
-        ckd_pair(mats[a], mats[b], shared) for a in range(k) for b in range(a + 1, k)
-    ]
-    return float(sum(vals) / len(vals))
 
 
 def _ckd_with_grads(blocks: Sequence[np.ndarray], centroids: Sequence[np.ndarray], cfg: LossConfig):
@@ -292,7 +241,9 @@ def total_loss(
     """Full training objective over the per-group blocks of one batch.
 
     Per group: the distance-softmax matching term between the two student
-    heads plus one affinity-weighted contrastive term per head.  Across
+    heads plus one affinity-weighted contrastive term per head, all three
+    from one relative-distance matrix per head and one teacher affinity
+    matrix, so the result is that of the public per-group losses.  Across
     groups: the centroid-alignment term on the trailing ``n_shared`` rows
     of each h-head block (those rows hold the same objects in the same
     order in every group).
@@ -316,9 +267,12 @@ def total_loss(
     d_fh: list[np.ndarray] = []
     d_fl: list[np.ndarray] = []
     for m in range(k):
-        sl, gh, gl = self_distill(f_h[m], f_l[m], cfg)
-        ch, gch = relaxed_contrastive(f_h[m], f_t[m], cfg)
-        cl, gcl = relaxed_contrastive(f_l[m], f_t[m], cfg)
+        rel_h = _relative_cached(f_h[m])
+        rel_l = _relative_cached(f_l[m])
+        w = _teacher_weights(f_t[m], rel_h[0].shape[0], cfg)
+        sl, gh, gl = _distill_term(rel_h, rel_l, cfg)
+        ch, gch = _contrastive_term(rel_h, w, cfg)
+        cl, gcl = _contrastive_term(rel_l, w, cfg)
         parts["self"] += sl
         parts["con_h"] += ch
         parts["con_l"] += cl

@@ -5,12 +5,22 @@ expression form that the library's fused code replaces, independent of the
 library's vectorized kernels, so agreement is meaningful.
 """
 
+import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from groupvec.backends import cross_sqdist
+from groupvec.losses import (
+    _centroid_sim_fwd,
+    _ckd_with_grads,
+    relaxed_contrastive,
+    self_distill,
+)
 from groupvec.sampling import NeighborTable, kmeans, knn_table
+
+log = logging.getLogger(__name__)
 
 
 def fd_grad(fun, x, eps=1e-5):
@@ -347,3 +357,95 @@ def refresh_composition(step, teacher, groups, provider, n_clusters=100,
         if rows.size:
             head[rows] = teacher.head_embed(feats[rows], m)
     return kmeans(head, n_clusters, kmeans_iters, seed=seed + step, step=step), table
+
+
+def total_loss_composition(f_h, f_l, f_t, centroids, n_shared, cfg):
+    """``losses.total_loss`` composed of the public per-group losses: each
+    term measures its own relative distances and teacher affinities.  Same
+    signature and result."""
+    parts = {"self": 0.0, "con_h": 0.0, "con_l": 0.0, "ckd": 0.0}
+    d_fh, d_fl = [], []
+    for m in range(len(f_h)):
+        sl, gh, gl = self_distill(f_h[m], f_l[m], cfg)
+        ch, gch = relaxed_contrastive(f_h[m], f_t[m], cfg)
+        cl, gcl = relaxed_contrastive(f_l[m], f_t[m], cfg)
+        parts["self"] += sl
+        parts["con_h"] += ch
+        parts["con_l"] += cl
+        d_fh.append(gh + gch)
+        d_fl.append(gl + gcl)
+    if n_shared > 0:
+        blocks = [np.asarray(b, dtype=np.float64)[-n_shared:] for b in f_h]
+        ckd, gshared = _ckd_with_grads(blocks, centroids, cfg)
+        parts["ckd"] = ckd
+        for m in range(len(gshared)):
+            d_fh[m][-n_shared:] += gshared[m]
+    total = parts["self"] + parts["con_h"] + parts["con_l"] + parts["ckd"]
+    return total, parts, d_fh, d_fl
+
+
+def ema_update_per_name(teacher, student, momentum):
+    """``encoder.ema_update`` as one in-place update per shared name."""
+    for name, _ in student.params.shapes:
+        tv = teacher.params.view(name)
+        tv *= momentum
+        tv += (1.0 - momentum) * student.params.view(name)
+
+
+@dataclass(frozen=True)
+class SimilarityMatrix:
+    """Row-stochastic soft assignment of objects to centroids."""
+
+    object_ids: np.ndarray
+    values: np.ndarray
+
+    def row_for(self, object_id):
+        idx = np.flatnonzero(self.object_ids == object_id)
+        if idx.size == 0:
+            raise KeyError(f"object {object_id} has no similarity row")
+        return self.values[idx[0]]
+
+
+def centroid_similarity(f, c, cfg, object_ids=None):
+    """Softmax of negated squared distances to centroids, floored and
+    renormalized: the forward of the training loss's alignment term.
+
+    Rows sum to one; every entry stays within a factor ``1 + L*epsilon_floor``
+    of at least ``epsilon_floor``, keeping downstream logs finite.
+    """
+    sm, _ = _centroid_sim_fwd(f, c, cfg)
+    if object_ids is None:
+        object_ids = np.arange(sm.shape[0], dtype=np.int64)
+    object_ids = np.asarray(object_ids, dtype=np.int64)
+    if object_ids.shape != (sm.shape[0],):
+        raise ValueError("one object id per row required")
+    return SimilarityMatrix(object_ids=object_ids, values=sm)
+
+
+def ckd_pair(s_a, s_b, shared):
+    """Mean cross-row alignment cost over shared objects.
+
+    The cross-entropy of the second group's rows under the first group's
+    rows, so the value is bounded below by the mean row entropy of ``s_a``
+    and is not symmetric in its arguments.
+    """
+    shared = list(shared)
+    if not shared:
+        log.warning("no shared objects between the two groups; pair term is 0")
+        return 0.0
+    p = np.stack([s_a.row_for(i) for i in shared])
+    q = np.stack([s_b.row_for(i) for i in shared])
+    return float(np.mean(-(p * np.log(q)).sum(axis=1)))
+
+
+def ckd_total(mats, shared):
+    """Mean pair alignment cost over the k(k-1)/2 unordered group pairs.
+
+    Each unordered pair (a, b) with a < b contributes one directed term.
+    """
+    k = len(mats)
+    if k < 2:
+        log.warning("cross-group alignment needs at least two groups; returning 0")
+        return 0.0
+    vals = [ckd_pair(mats[a], mats[b], shared) for a in range(k) for b in range(a + 1, k)]
+    return float(sum(vals) / len(vals))

@@ -24,11 +24,7 @@ from groupvec.data import (
 )
 from groupvec.losses import (
     LossConfig,
-    SimilarityMatrix,
     _ckd_with_grads,
-    centroid_similarity,
-    ckd_pair,
-    ckd_total,
     pair_weights,
     relative_distances,
     relaxed_contrastive,
@@ -41,7 +37,17 @@ from groupvec.sampling import _lloyd, knn_table, refresh
 from groupvec.train import TrainConfig, init_state
 
 from _ablation import run_ablation
-from _oracles import eval_scores_loops, fd_grad, knn_loops, max_rel_err, random_eval_instance
+from _oracles import (
+    SimilarityMatrix,
+    centroid_similarity,
+    ckd_pair,
+    ckd_total,
+    eval_scores_loops,
+    fd_grad,
+    knn_loops,
+    max_rel_err,
+    random_eval_instance,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from groupvec import encoder
 from groupvec.checkpoint import read_container, write_container
-from groupvec.encoder import EncoderConfig, StudentNet, TeacherNet, ema_update
+from groupvec.encoder import EncoderConfig, Params, StudentNet, TeacherNet, ema_update
+
+from _oracles import ema_update_per_name
 
 CFG = EncoderConfig(
     feature_dim=6, groups=2, hidden_dim=16, trunk_layers=2, student_dim=8, teacher_dim=12
@@ -142,6 +145,61 @@ def test_ema_is_contraction_and_skips_projection():
         ema_update(teacher, student, momentum=0.9)
     assert np.array_equal(teacher.params.view("proj.w"), proj_before)
     _ = teacher_shared
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_flat_ema_equals_per_name_updates(offset):
+    # shared parameter counts one below, at and one above a single block;
+    # with a one-unit hidden layer each input feature adds one parameter
+    small = EncoderConfig(feature_dim=1, groups=1, hidden_dim=1, trunk_layers=1, student_dim=5)
+    base = StudentNet(small).params.data.size
+    cfg = EncoderConfig(
+        feature_dim=1 + encoder._EMA_BLOCK + offset - base,
+        groups=1, hidden_dim=1, trunk_layers=1, student_dim=5,
+    )
+    student = StudentNet.init(cfg, seed=7)
+    assert student.params.data.size == encoder._EMA_BLOCK + offset
+    teacher = TeacherNet.from_student(student, seed=8)
+    oracle = TeacherNet(cfg, teacher.params.copy())
+    proj_before = teacher.params.view("proj.w").copy(), teacher.params.view("proj.b").copy()
+    rng = np.random.default_rng(9)
+    for momentum in (0.999, 0.9, 0.5, 0.0, 1.0):
+        student.params.data[:] = rng.normal(size=student.params.data.size) * 10.0
+        ema_update(teacher, student, momentum)
+        ema_update_per_name(oracle, student, momentum)
+        assert np.array_equal(teacher.params.data.view(np.int64), oracle.params.data.view(np.int64))
+    assert np.array_equal(teacher.params.view("proj.w"), proj_before[0])
+    assert np.array_equal(teacher.params.view("proj.b"), proj_before[1])
+
+
+def test_flat_ema_equals_per_name_updates_two_groups():
+    student = StudentNet.init(CFG, seed=10)
+    teacher = TeacherNet.from_student(student, seed=11)
+    oracle = TeacherNet(CFG, teacher.params.copy())
+    student.params.data += np.random.default_rng(12).normal(size=student.params.data.size)
+    ema_update(teacher, student, 0.999)
+    ema_update_per_name(oracle, student, 0.999)
+    assert np.array_equal(teacher.params.data.view(np.int64), oracle.params.data.view(np.int64))
+
+
+def test_ema_checks():
+    student = StudentNet.init(CFG, seed=13)
+    teacher = TeacherNet.from_student(student, seed=14)
+    for momentum in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="momentum"):
+            ema_update(teacher, student, momentum)
+    missing = TeacherNet(CFG, Params([s for s in teacher.params.shapes if s[0] != "head_l0.b"]))
+    with pytest.raises(ValueError, match="missing shared parameter head_l0.b"):
+        ema_update(missing, student, 0.9)
+    reshaped = TeacherNet(CFG, Params([
+        (name, (shape[0] + 1,) + shape[1:]) if name == "trunk0.b" else (name, shape)
+        for name, shape in teacher.params.shapes
+    ]))
+    with pytest.raises(ValueError, match="shape mismatch for trunk0.b"):
+        ema_update(reshaped, student, 0.9)
+    reordered = TeacherNet(CFG, Params(teacher.params.shapes[::-1]))
+    with pytest.raises(ValueError, match="order"):
+        ema_update(reordered, student, 0.9)
 
 
 def test_container_round_trip_is_byte_exact(tmp_path):

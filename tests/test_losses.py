@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import (
+    SimilarityMatrix,
+    centroid_similarity,
+    ckd_pair,
+    ckd_total,
     contrastive_loops,
     cross_entropy_rows_loops,
     entropy_rows_loops,
@@ -14,13 +18,11 @@ from _oracles import (
     max_rel_err,
     rel_dist_loops,
     self_distill_loops,
+    total_loss_composition,
 )
+from groupvec import losses
 from groupvec.losses import (
     LossConfig,
-    SimilarityMatrix,
-    centroid_similarity,
-    ckd_pair,
-    ckd_total,
     pair_weights,
     relative_distances,
     relaxed_contrastive,
@@ -424,3 +426,77 @@ class TestTotalLoss:
         f_h, f_l, f_t, cents = random_batch(31, k=2, n=4)
         with pytest.raises(ValueError, match="n_shared"):
             total_loss(f_h, f_l, f_t, cents, n_shared=5, cfg=CFG)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def default_batch(seed, k=4, n=30, dim=512, teacher_dim=1024, n_centroids=100,
+                  coincident=False, scale=1.0):
+    """Blocks of the default training shapes: 30 rows per group, 512-d
+    student heads, 1024-d teacher rows."""
+    rng = np.random.default_rng(seed)
+    f_h = [rng.normal(size=(n, dim)) * scale for _ in range(k)]
+    f_l = [rng.normal(size=(n, dim)) * scale for _ in range(k)]
+    f_t = [rng.normal(size=(n, teacher_dim)) * 0.05 for _ in range(k)]
+    cents = [rng.normal(size=(n_centroids, dim)) * scale for _ in range(k)]
+    if coincident:
+        for blocks in (f_h, f_l, f_t):
+            for b in blocks:
+                b[1] = b[0]
+                b[-1] = b[2]
+    return f_h, f_l, f_t, cents
+
+
+class TestTotalLossSharesEachQuantity:
+    """``total_loss`` measures each group's relative distances and teacher
+    affinities once and feeds them to every term; the result must be that
+    of the composition of the public per-group losses, to the bit."""
+
+    @pytest.mark.parametrize("cfg", [CFG, FULL], ids=["default", "full_grad"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_batch(40, k=3, n=7),
+            lambda: default_batch(41),
+            lambda: default_batch(42, coincident=True),
+            lambda: default_batch(43, k=2, n=9, dim=7, teacher_dim=5, n_centroids=4,
+                                  coincident=True, scale=1e3),
+        ],
+        ids=["small", "default_size", "coincident", "coincident_wide_scale"],
+    )
+    @pytest.mark.parametrize("n_shared", [0, 2, 6])
+    def test_equals_composition_to_the_bit(self, cfg, make, n_shared):
+        f_h, f_l, f_t, cents = make()
+        got = total_loss(f_h, f_l, f_t, cents, n_shared, cfg)
+        want = total_loss_composition(f_h, f_l, f_t, cents, n_shared, cfg)
+        assert _bits(got[0]) == _bits(want[0])
+        for key in ("self", "con_h", "con_l", "ckd"):
+            assert _bits(got[1][key]) == _bits(want[1][key]), key
+        for grads_got, grads_want in ((got[2], want[2]), (got[3], want[3])):
+            assert len(grads_got) == len(grads_want)
+            for g, w in zip(grads_got, grads_want):
+                assert np.array_equal(_bits(g), _bits(w))
+
+    def test_one_distance_matrix_per_embedding_and_one_affinity_per_group(self, monkeypatch):
+        calls = {"pairwise_dist": 0, "pair_weights": 0}
+
+        def counted(name):
+            raw = getattr(losses, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return raw(*a, **k)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        f_h, f_l, f_t, cents = default_batch(44)
+        total_loss(f_h, f_l, f_t, cents, 6, CFG)
+        assert calls == {"pairwise_dist": 8, "pair_weights": 4}
+        for name in calls:
+            calls[name] = 0
+        total_loss_composition(f_h, f_l, f_t, cents, 6, CFG)
+        assert calls == {"pairwise_dist": 16, "pair_weights": 8}

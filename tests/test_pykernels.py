@@ -1,8 +1,9 @@
 """Exactness of the NumPy kernels' blocked evaluation.
 
 The exact path of ``cross_sqdist`` and the row norms of its Gram path work
-in cache-sized blocks.  Blocking must not change a single bit: each entry
-is compared with the whole-array expression it replaces.
+in cache-sized blocks, and ``self_sqdist`` measures only the upper
+triangle of its blocks.  Neither may change a single bit: each entry is
+compared with the whole-array expression or the kernel it replaces.
 """
 
 import numpy as np
@@ -43,3 +44,44 @@ def test_row_sqnorms_equal_one_square(n, d):
         got = backends.row_sqnorms(arr)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _largest_exact_n(d):
+    n = 1
+    while backends.exact_path(n + 1, n + 1, d):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    # 30 rows at 512 and 1024 wide are a training step's blocks; 29, 30 and
+    # 31 rows are not multiples of the block's 8 or 4 rows; the last case is
+    # the largest n still on the exact path at 512 wide
+    [(30, 1), (30, 7), (30, 512), (30, 1024), (29, 512), (31, 1024), (5, 7),
+     (2, 1), (1, 512), (0, 3), (4, 0), (_largest_exact_n(512), 512)],
+)
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_self_sqdist_equals_cross_sqdist(n, d, offset):
+    assert backends.exact_path(n, n, d)
+    rng = np.random.default_rng(n * 7 + d)
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)) + offset
+    if n >= 4:
+        x[n - 1] = x[0]
+        x[n // 2] = x[1]
+    want = backends.cross_sqdist(x, x)
+    got = backends.self_sqdist(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if n >= 4:
+        assert got[n - 1, 0] == 0.0 and got[0, n - 1] == 0.0
+
+
+def test_self_sqdist_above_the_budget_is_cross_sqdist():
+    n, d = _largest_exact_n(48) + 1, 48
+    assert not backends.exact_path(n, n, d)
+    x = np.random.default_rng(5).normal(size=(n, d))
+    assert np.array_equal(
+        backends.self_sqdist(x).view(np.int64),
+        backends.cross_sqdist(x, x).view(np.int64),
+    )
