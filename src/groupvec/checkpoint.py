@@ -12,12 +12,14 @@ Layout (all integers little-endian):
         little-endian float64 data
 
 Writing the result of a read reproduces the file byte for byte.  A file
-cut short anywhere is rejected with "<path>: truncated checkpoint".
+cut short anywhere, or whose lengths point past its end, is rejected
+with "<path>: truncated checkpoint".
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -64,11 +66,24 @@ def atomic_write(path):
 
 
 def read_exact(fh, n: int, path, what: str) -> bytes:
-    """Read exactly ``n`` bytes, or fail naming the file as truncated."""
-    raw = fh.read(n)
-    if len(raw) != n:
+    """Read exactly ``n`` bytes, or fail naming the file as truncated before
+    reading anything, so a damaged length cannot ask for a huge buffer."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated {what}")
-    return raw
+    return fh.read(n)
+
+
+def read_head(fh, magic: bytes, version: int, path, what: str) -> None:
+    """Check a file's magic and u32 version, naming the file on failure;
+    a file cut inside its magic is truncated."""
+    got = fh.read(len(magic))
+    if got != magic:
+        if len(got) < len(magic) and magic.startswith(got):
+            raise ValueError(f"{path}: truncated {what}")
+        raise ValueError(f"{path}: bad {what} magic {got!r}: {magic.decode()} expected")
+    (got_version,) = struct.unpack("<I", read_exact(fh, 4, path, what))
+    if got_version != version:
+        raise ValueError(f"{path}: unsupported {what} version {got_version}")
 
 
 def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
@@ -76,14 +91,7 @@ def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path, "checkpoint"))
 
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            if len(magic) < 4 and MAGIC.startswith(magic):
-                raise ValueError(f"{path}: truncated checkpoint")
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}: MSG1 expected")
-        (version,) = unpack("<I")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        read_head(fh, MAGIC, VERSION, path, "checkpoint")
         (hlen,) = unpack("<Q")
         text = read_exact(fh, hlen, path, "checkpoint").decode("utf-8")
         header: dict[str, str] = {}
@@ -97,7 +105,6 @@ def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             name = read_exact(fh, nlen, path, "checkpoint").decode("utf-8")
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}Q")
-            count = int(np.prod(shape)) if shape else 1
-            raw = read_exact(fh, count * 8, path, "checkpoint")
+            raw = read_exact(fh, math.prod(shape) * 8, path, "checkpoint")
             blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         return header, blobs

@@ -68,12 +68,6 @@ class ObjectTable:
     def get(self, object_id: int) -> ObjectRecord:
         return self._by_id[object_id]
 
-    def row_of(self, object_id: int) -> int:
-        row = int(np.searchsorted(self.ids, object_id))
-        if row >= len(self.ids) or self.ids[row] != object_id:
-            raise KeyError(f"object {object_id} not in table")
-        return row
-
 
 def write_manifest(table: ObjectTable, path) -> None:
     """Tab-separated object manifest, one record per line, LF endings."""
@@ -181,9 +175,6 @@ class ScaleGroups:
     def table(self) -> ObjectTable:
         return self._table
 
-    def group_of(self, object_id: int) -> int:
-        return int(self.assignment[self._table.row_of(object_id)])
-
     def group_rows(self, m: int) -> np.ndarray:
         """Table row positions of group m, ascending object_id."""
         return self._rows[m]
@@ -287,19 +278,17 @@ class SyntheticFeatureModel:
 
     def features_at(self, object_ids: np.ndarray, area: float) -> np.ndarray:
         ids = np.asarray(object_ids, dtype=np.int64)
-        return (
-            self.means[self.class_of[ids]]
-            + self.intra_class_sd * self.intra_noise[ids]
-            + (self.scale_noise_gain / math.sqrt(area)) * self.scale_noise[ids]
-        )
+        return self._features(ids, self.scale_noise_gain / math.sqrt(area))
 
     def base_features(self, object_ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(object_ids, dtype=np.int64)
-        scale = self.scale_noise_gain / np.sqrt(self.areas[ids])
+        return self._features(ids, (self.scale_noise_gain / np.sqrt(self.areas[ids]))[:, None])
+
+    def _features(self, ids: np.ndarray, noise_scale) -> np.ndarray:
         return (
             self.means[self.class_of[ids]]
             + self.intra_class_sd * self.intra_noise[ids]
-            + scale[:, None] * self.scale_noise[ids]
+            + noise_scale * self.scale_noise[ids]
         )
 
 
@@ -320,8 +309,7 @@ class BaseFeatureProvider:
         return cls(features, refs)
 
     def features_at(self, object_ids: np.ndarray, area: float) -> np.ndarray:
-        rows = [self.row_of[int(i)] for i in np.asarray(object_ids)]
-        return self.features[rows]
+        return self.base_features(object_ids)
 
     def base_features(self, object_ids: np.ndarray) -> np.ndarray:
         rows = [self.row_of[int(i)] for i in np.asarray(object_ids)]
@@ -354,11 +342,14 @@ def synth_generate_full(config: SynthConfig):
 
     eps = rng.normal(size=(n, d))
     eta = rng.normal(size=(n, d))
-    areas = w * h
-    features = (
-        means[classes]
-        + config.intra_class_sd * eps
-        + (config.scale_noise_gain / np.sqrt(areas))[:, None] * eta
+    model = SyntheticFeatureModel(
+        means=means,
+        class_of=classes.astype(np.int64),
+        intra_noise=eps,
+        scale_noise=eta,
+        intra_class_sd=config.intra_class_sd,
+        scale_noise_gain=config.scale_noise_gain,
+        areas=w * h,
     )
 
     records = [
@@ -372,13 +363,4 @@ def synth_generate_full(config: SynthConfig):
         )
         for i in range(n)
     ]
-    model = SyntheticFeatureModel(
-        means=means,
-        class_of=classes.astype(np.int64),
-        intra_noise=eps,
-        scale_noise=eta,
-        intra_class_sd=config.intra_class_sd,
-        scale_noise_gain=config.scale_noise_gain,
-        areas=areas,
-    )
-    return ObjectTable(records), features, model
+    return ObjectTable(records), model.base_features(np.arange(n)), model

@@ -73,6 +73,29 @@ def _check_input(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _trunk(params: Params, cfg: EncoderConfig, x: np.ndarray):
+    """The shared ReLU trunk: ``acts`` holds the checked input and each
+    layer's output (``acts[-1]`` feeds the heads), ``pre`` each layer's
+    pre-activation."""
+    a = _check_input(x, cfg.feature_dim)
+    acts, pre = [a], []
+    for layer in range(cfg.trunk_layers):
+        z = _affine(params, f"trunk{layer}", a)
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    return acts, pre
+
+
+def _affine(params: Params, name: str, a: np.ndarray) -> np.ndarray:
+    return a @ params.view(f"{name}.w") + params.view(f"{name}.b")
+
+
+def _check_group(cfg: EncoderConfig, group: int) -> None:
+    if not 0 <= group < cfg.groups:
+        raise ValueError(f"group index {group} out of range [0, {cfg.groups})")
+
+
 def _shared_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes: list[tuple[str, tuple[int, ...]]] = []
     in_dim = cfg.feature_dim
@@ -115,29 +138,16 @@ class StudentNet:
                 net.params.view(f"head_{head}{m}.b")[:] = net.params.view(f"head_{head}0.b")
         return net
 
-    def _trunk_forward(self, x: np.ndarray):
-        acts = [x]
-        pre = []
-        a = x
-        for layer in range(self.cfg.trunk_layers):
-            z = a @ self.params.view(f"trunk{layer}.w") + self.params.view(f"trunk{layer}.b")
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        return a, acts, pre
-
     def forward(self, x: np.ndarray, group: int):
         """Embed a block of inputs through the trunk and group's head pair."""
         f_h, f_l, _ = self.forward_cached(x, group)
         return f_h, f_l
 
     def forward_cached(self, x: np.ndarray, group: int):
-        if not 0 <= group < self.cfg.groups:
-            raise ValueError(f"group index {group} out of range [0, {self.cfg.groups})")
-        x = _check_input(x, self.cfg.feature_dim)
-        a, acts, pre = self._trunk_forward(x)
-        f_h = a @ self.params.view(f"head_h{group}.w") + self.params.view(f"head_h{group}.b")
-        f_l = a @ self.params.view(f"head_l{group}.w") + self.params.view(f"head_l{group}.b")
+        _check_group(self.cfg, group)
+        acts, pre = _trunk(self.params, self.cfg, x)
+        f_h = _affine(self.params, f"head_h{group}", acts[-1])
+        f_l = _affine(self.params, f"head_l{group}", acts[-1])
         return f_h, f_l, (group, acts, pre)
 
     def backward(self, cache, d_fh: np.ndarray, d_fl: np.ndarray, grads: Params) -> None:
@@ -181,36 +191,20 @@ class TeacherNet:
         w[:] = rng.normal(0.0, 1.0 / np.sqrt(student.cfg.hidden_dim), size=w.shape)
         return net
 
-    def _trunk_forward(self, x: np.ndarray) -> np.ndarray:
-        a = x
-        for layer in range(self.cfg.trunk_layers):
-            a = np.maximum(a @ self.params.view(f"trunk{layer}.w") + self.params.view(f"trunk{layer}.b"), 0.0)
-        return a
-
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Wide reference embedding; no gradient path exists through it."""
-        return self._wide(self._trunk_forward(_check_input(x, self.cfg.feature_dim)))
+        return _affine(self.params, "proj", _trunk(self.params, self.cfg, x)[0][-1])
 
     def head_embed(self, x: np.ndarray, group: int) -> np.ndarray:
         """Group-head embedding from the teacher's EMA-tracked h head."""
-        self._check_group(group)
-        return self._head(self._trunk_forward(_check_input(x, self.cfg.feature_dim)), group)
+        _check_group(self.cfg, group)
+        return _affine(self.params, f"head_h{group}", _trunk(self.params, self.cfg, x)[0][-1])
 
     def wide_and_head(self, x: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
         """``(embed(x), head_embed(x, group))`` from a single trunk pass."""
-        self._check_group(group)
-        a = self._trunk_forward(_check_input(x, self.cfg.feature_dim))
-        return self._wide(a), self._head(a, group)
-
-    def _check_group(self, group: int) -> None:
-        if not 0 <= group < self.cfg.groups:
-            raise ValueError(f"group index {group} out of range [0, {self.cfg.groups})")
-
-    def _wide(self, a: np.ndarray) -> np.ndarray:
-        return a @ self.params.view("proj.w") + self.params.view("proj.b")
-
-    def _head(self, a: np.ndarray, group: int) -> np.ndarray:
-        return a @ self.params.view(f"head_h{group}.w") + self.params.view(f"head_h{group}.b")
+        _check_group(self.cfg, group)
+        a = _trunk(self.params, self.cfg, x)[0][-1]
+        return _affine(self.params, "proj", a), _affine(self.params, f"head_h{group}", a)
 
 
 # Elements per block of the EMA pass, as in the optimizer's update.

@@ -1,4 +1,4 @@
-"""Gallery embedding, exact nearest-neighbor search, and image ranking.
+"""Gallery embedding and exact nearest-neighbor search.
 
 Stores hold float32 rows for compactness.  Search is exact and runs in
 float64 on an upcast copy of the rows that each store makes once, on its
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_exact
+from .checkpoint import atomic_write, read_exact, read_head
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
 
@@ -63,14 +63,7 @@ class EmbeddingStore:
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != STORE_MAGIC:
-                if len(magic) < 4 and STORE_MAGIC.startswith(magic):
-                    raise ValueError(f"{path}: truncated store")
-                raise ValueError(f"{path}: bad store magic {magic!r}: MSE1 expected")
-            (version,) = struct.unpack("<I", read_exact(fh, 4, path, "store"))
-            if version != STORE_VERSION:
-                raise ValueError(f"{path}: unsupported store version {version}")
+            read_head(fh, STORE_MAGIC, STORE_VERSION, path, "store")
             dim, count = struct.unpack("<IQ", read_exact(fh, 12, path, "store"))
             vec_raw = read_exact(fh, count * dim * 4, path, "store")
             ids_raw = read_exact(fh, count * 8, path, "store")
@@ -179,13 +172,3 @@ def query(store: EmbeddingStore, q: np.ndarray, topk: int, table: ObjectTable,
         )
     return RankedResult(query_id=query_id, hits=tuple(hits))
 
-
-def rank_images(result: RankedResult) -> list[int]:
-    """Images ordered by their best hit; each image listed once."""
-    seen: set[int] = set()
-    out: list[int] = []
-    for hit in result.hits:
-        if hit.image_id not in seen:
-            seen.add(hit.image_id)
-            out.append(hit.image_id)
-    return out

@@ -136,7 +136,7 @@ def _lloyd(f: np.ndarray, n_clusters: int, iters: int, rng: np.random.Generator)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         sums = _cluster_sums(f, assign, n_clusters)
-        filled = np.maximum(np.bincount(assign, minlength=n_clusters), 1)
+        filled = np.maximum(counts, 1)
         cents = sums / filled[:, None]
         prev_assign = assign
     return cents, trace

@@ -85,18 +85,18 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 # Elements per block of the optimizer update: its six vectors' blocks stay
 # in cache, where the whole-vector form streams 10 MB arrays about 15 times.
 _OPT_BLOCK = 2**15
+# Moment decay rates and the denominator's guard.  Checkpoints do not
+# record them, so they are constants: a resumed run uses the same ones.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class OptState:
     """First/second moment accumulators for one flat parameter vector."""
 
-    def __init__(self, size: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int):
         self.m = np.zeros(size, dtype=np.float64)
         self.v = np.zeros(size, dtype=np.float64)
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def optimizer_step(
@@ -119,24 +119,24 @@ def optimizer_step(
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient; optimizer step aborted")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - _BETA1**state.t
+    c2 = 1.0 - _BETA2**state.t
     a_buf = np.empty(min(_OPT_BLOCK, g.size), dtype=np.float64)
     b_buf = np.empty_like(a_buf)
     for s in range(0, g.size, _OPT_BLOCK):
         blk = slice(s, s + _OPT_BLOCK)
         gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.data[blk]
         a, b = a_buf[: gb.size], b_buf[: gb.size]
-        m *= state.beta1
-        m += np.multiply(gb, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        np.multiply(gb, 1.0 - state.beta2, out=b)
+        m *= _BETA1
+        m += np.multiply(gb, 1.0 - _BETA1, out=a)
+        v *= _BETA2
+        np.multiply(gb, 1.0 - _BETA2, out=b)
         v += np.multiply(b, gb, out=b)
         np.divide(m, c1, out=a)
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += _EPS
         p -= np.divide(a, b, out=a)
         p -= np.multiply(p, lr * weight_decay, out=a)
     return params

@@ -7,6 +7,7 @@ what a shell user would see.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -490,6 +491,15 @@ def tiny_model(tmp_path):
     return d, ckpt, store
 
 
+def _reading(what, d, ckpt, store, tmp_path) -> list:
+    """A command whose first read is of the checkpoint (``embed``) or the
+    store (``eval``)."""
+    if what == "store":
+        return ["eval", "--checkpoint", ckpt, "--data", d, "--store", store,
+                "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+    return ["embed", "--checkpoint", ckpt, "--data", d, "--out", tmp_path / "x"]
+
+
 class TestTruncatedFiles:
     def _assert_truncated(self, capsys, path, what, argv):
         rc, out, err = run(capsys, *argv)
@@ -505,8 +515,7 @@ class TestTruncatedFiles:
         for size in range(len(raw)):
             cut.write_bytes(raw[:size])
             self._assert_truncated(
-                capsys, cut, "checkpoint",
-                ["embed", "--checkpoint", cut, "--data", d, "--out", tmp_path / "x"],
+                capsys, cut, "checkpoint", _reading("checkpoint", d, cut, None, tmp_path)
             )
 
     def test_every_cut_of_a_store(self, tmp_path, capsys):
@@ -516,11 +525,63 @@ class TestTruncatedFiles:
         cut = tmp_path / "cut.store"
         for size in range(len(raw)):
             cut.write_bytes(raw[:size])
-            self._assert_truncated(
-                capsys, cut, "store",
-                ["eval", "--checkpoint", ckpt, "--data", d, "--store", cut,
-                 "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"],
-            )
+            self._assert_truncated(capsys, cut, "store", _reading("store", d, ckpt, cut, tmp_path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("hlen", 2**62), ("nblobs", 2**32 - 1), ("nlen", 2**16 - 1), ("ndim", 2**8 - 1),
+        ("dim", 2**62), ("dim", 2**63 + 5), ("store_dim", 2**32 - 1), ("store_count", 2**62),
+    ])
+    def test_huge_length_field(self, tmp_path, capsys, field, value):
+        """A length field past the file's end is a truncation: no huge
+        allocation and no integer overflow reach the user."""
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        offset, fmt = _length_fields(ckpt.read_bytes())[field]
+        path = store if field.startswith("store") else ckpt
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        what = "store" if path == store else "checkpoint"
+        self._assert_truncated(capsys, path, what, _reading(what, d, ckpt, store, tmp_path))
+
+
+def _length_fields(ckpt_raw: bytes) -> dict:
+    """field -> (offset, struct format) of each length field: the
+    checkpoint's header length, blob count and first blob's name length,
+    ndim and first dim, and the store's dim and count."""
+    (hlen,) = struct.unpack_from("<Q", ckpt_raw, 8)
+    nblobs_at = 16 + hlen
+    (nlen,) = struct.unpack_from("<H", ckpt_raw, nblobs_at + 4)
+    ndim_at = nblobs_at + 6 + nlen
+    return {
+        "hlen": (8, "<Q"), "nblobs": (nblobs_at, "<I"), "nlen": (nblobs_at + 4, "<H"),
+        "ndim": (ndim_at, "<B"), "dim": (ndim_at + 1, "<Q"),
+        "store_dim": (8, "<I"), "store_count": (12, "<Q"),
+    }
+
+
+class TestFileHeads:
+    """Wrong magic and unsupported version, for both file formats, each in
+    one line naming the file."""
+
+    @pytest.mark.parametrize("what", ["checkpoint", "store"])
+    @pytest.mark.parametrize("head, message", [
+        (b"XXXX", "bad {what} magic b'XXXX': {magic} expected"),
+        (None, "unsupported {what} version 7"),
+    ])
+    def test_rejected_in_one_line(self, tmp_path, capsys, what, head, message):
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        path = ckpt if what == "checkpoint" else store
+        raw = bytearray(path.read_bytes())
+        magic = bytes(raw[:4])
+        raw[:8] = head + b"\0" * 4 if head else magic + struct.pack("<I", 7)
+        path.write_bytes(bytes(raw))
+        rc, out, err = run(capsys, *_reading(what, d, ckpt, store, tmp_path))
+        assert rc == 1
+        assert out == ""
+        expected = message.format(what=what, magic=magic.decode())
+        assert err.splitlines() == [f"error: {path}: {expected}"]
 
 
 

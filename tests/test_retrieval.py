@@ -17,13 +17,10 @@ from groupvec.data import (
 from groupvec.encoder import EncoderConfig, StudentNet
 from groupvec.retrieval import (
     EmbeddingStore,
-    Hit,
-    RankedResult,
     embed_all,
     embed_query,
     query,
     rank,
-    rank_images,
 )
 
 
@@ -249,14 +246,6 @@ def test_float64_copy_is_made_once_per_store():
     assert store.vectors64 is first
     assert first.dtype == np.float64
     assert np.array_equal(first, store.vectors)
-
-
-def test_rank_images_first_occurrence():
-    hits = tuple(
-        Hit(i, float(i), img, (0.0, 0.0, 1.0, 1.0))
-        for i, img in enumerate([5, 7, 5, 9, 7])
-    )
-    assert rank_images(RankedResult(None, hits)) == [5, 7, 9]
 
 
 def test_embed_all_routes_rows_through_own_group(corpus):
