@@ -13,7 +13,8 @@ Layout (all integers little-endian):
 
 Writing the result of a read reproduces the file byte for byte.  A file
 cut short anywhere, or whose lengths point past its end, is rejected
-with "<path>: truncated checkpoint".
+with "<path>: truncated checkpoint"; one whose header or a blob name is
+not UTF-8 is rejected naming the file too.
 """
 
 from __future__ import annotations
@@ -90,19 +91,24 @@ def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     def unpack(fmt: str):
         return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path, "checkpoint"))
 
+    def text(n: int, what: str) -> str:
+        try:
+            return read_exact(fh, n, path, "checkpoint").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: checkpoint {what} is not UTF-8: {exc}") from None
+
     with open(path, "rb") as fh:
         read_head(fh, MAGIC, VERSION, path, "checkpoint")
         (hlen,) = unpack("<Q")
-        text = read_exact(fh, hlen, path, "checkpoint").decode("utf-8")
         header: dict[str, str] = {}
-        for line in text.splitlines():
+        for line in text(hlen, "header").splitlines():
             key, _, value = line.partition(" = ")
             header[key] = value
         (nblobs,) = unpack("<I")
         blobs: dict[str, np.ndarray] = {}
         for _ in range(nblobs):
             (nlen,) = unpack("<H")
-            name = read_exact(fh, nlen, path, "checkpoint").decode("utf-8")
+            name = text(nlen, "blob name")
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}Q")
             raw = read_exact(fh, math.prod(shape) * 8, path, "checkpoint")

@@ -199,8 +199,8 @@ def _load_model(checkpoint, data_dir):
 
 def cmd_embed(args) -> int:
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
-    _echo_config("embed", {"checkpoint": args.checkpoint, "concat": args.concat})
-    store = embed_all(state.student, table, provider, groups, concat=args.concat)
+    _echo_config("embed", {"checkpoint": args.checkpoint})
+    store = embed_all(state.student, table, provider, groups)
     store.save(args.out)
     print(f"embedded {store.count} objects at width {store.dim}", file=sys.stderr)
     return 0
@@ -226,21 +226,17 @@ def _find_object(table, image_id: int, bbox) -> int:
     raise ValueError(f"no object with bbox {bbox} in image {image_id}")
 
 
-def _embed_for_store(state, groups, provider, store, rec):
-    """Embed a table object as a query against ``store``, whose width says
-    whether it keeps one head or both."""
-    concat = store.dim == 2 * state.cfg.student_dim
-    if not concat and store.dim != state.cfg.student_dim:
-        raise ValueError(
-            f"store width {store.dim} does not match checkpoint width {state.cfg.student_dim}"
-        )
-    return embed_query(
-        state.student,
-        groups,
-        provider.base_features(np.array([rec.object_id]))[0],
-        rec.area,
-        concat=concat,
-    )
+def _load_store(path, state) -> EmbeddingStore:
+    """The store at ``path``; its width must be the checkpoint's embedding width."""
+    store = EmbeddingStore.load(path)
+    if store.dim != state.cfg.student_dim:
+        raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {state.cfg.student_dim}")
+    return store
+
+
+def _embed_object(state, groups, provider, rec) -> np.ndarray:
+    feature = provider.base_features(np.array([rec.object_id]))[0]
+    return embed_query(state.student, groups, feature, rec.area)
 
 
 def cmd_query(args) -> int:
@@ -248,13 +244,13 @@ def cmd_query(args) -> int:
         raise UsageError("--topk must be at least 1")
     bbox = _parse_bbox(args.query_bbox)
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
-    store = EmbeddingStore.load(args.store)
+    store = _load_store(args.store, state)
     oid = _find_object(table, args.query_image, bbox)
     _echo_config(
         "query",
         {"checkpoint": args.checkpoint, "object": oid, "topk": args.topk},
     )
-    emb = _embed_for_store(state, groups, provider, store, table.get(oid))
+    emb = _embed_object(state, groups, provider, table.get(oid))
     result = query(store, emb, args.topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
         x, y, w, h = hit.bbox
@@ -288,7 +284,7 @@ def _ground_truth(table) -> GroundTruth:
 def cmd_eval(args) -> int:
     topk, max_queries = _eval_settings(args)
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
-    store = EmbeddingStore.load(args.store)
+    store = _load_store(args.store, state)
     gt = _ground_truth(table)
     query_ids = [int(i) for i in table.ids]
     if max_queries is not None:
@@ -302,7 +298,7 @@ def cmd_eval(args) -> int:
     scores = ScaleReport(gt, EvalConfig(topk=topk))
     with open(args.rankings, "w", encoding="utf-8", newline="\n") as fh:
         for qid in query_ids:
-            emb = _embed_for_store(state, groups, provider, store, table.get(qid))
+            emb = _embed_object(state, groups, provider, table.get(qid))
             order, dist = rank(store, emb)
             pairs = map("{}:{!r}".format, store.object_ids[order].tolist(), dist[order].tolist())
             fh.write(f"{qid}\t{','.join(pairs)}\n")
@@ -399,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--concat", action="store_true", help="keep both heads")
     p.set_defaults(handler=cmd_embed)
 
     p = sub.add_parser("query", help="rank the store against one query box")

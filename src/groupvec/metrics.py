@@ -24,7 +24,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BINS = (
+# The scoring protocol: the IoU gate of each level and the query-area bins
+# of the report.
+IOU_GATES = {"object": 0.3, "image": 1e-10}
+SCALE_BINS = (
     (0.0, 400.0),
     (400.0, 900.0),
     (900.0, 3600.0),
@@ -33,29 +36,16 @@ DEFAULT_BINS = (
 )
 
 REPORT_COLUMNS = ("bin", "n", "O-R@1", "O-mAP", "I-R@1", "I-mAP")
-LEVELS = ("object", "image")
+LEVELS = tuple(IOU_GATES)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_object: float = 0.3
-    iou_image: float = 1e-10
     topk: int | None = None
-    scale_bins: tuple[tuple[float, float], ...] = DEFAULT_BINS
 
     def __post_init__(self):
-        for name in ("iou_object", "iou_image"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
         if self.topk is not None and self.topk < 1:
             raise ValueError("topk must be positive")
-        bins = self.scale_bins
-        if not bins or bins[0][0] != 0.0 or not math.isinf(bins[-1][1]):
-            raise ValueError("scale bins must cover [0, inf)")
-        for (lo, hi), (lo2, _) in zip(bins, bins[1:]):
-            if not lo < hi or lo2 != hi:
-                raise ValueError("scale bins must be contiguous and increasing")
 
 
 @dataclass(frozen=True)
@@ -228,12 +218,10 @@ def _build_pass_table(gt: GroundTruth, threshold: float) -> PassTable:
     return PassTable(classes=classes, passes=passes)
 
 
-def _threshold(cfg: EvalConfig, level: str) -> float:
-    if level == "object":
-        return cfg.iou_object
-    if level == "image":
-        return cfg.iou_image
-    raise ValueError(f"unknown level {level!r}; expected 'object' or 'image'")
+def _threshold(level: str) -> float:
+    if level not in IOU_GATES:
+        raise ValueError(f"unknown level {level!r}; expected 'object' or 'image'")
+    return IOU_GATES[level]
 
 
 def score_rows(gt: GroundTruth, cfg: EvalConfig, level: str, query_id, rows):
@@ -245,7 +233,7 @@ def score_rows(gt: GroundTruth, cfg: EvalConfig, level: str, query_id, rows):
     query's own row is dropped from the ranking, then topk applies; image
     level keeps each image's first (best) row.
     """
-    table = gt.pass_table(_threshold(cfg, level))
+    table = gt.pass_table(_threshold(level))
     col = table.column(gt.query_class[query_id])
     query_row = gt.row_of(query_id)
     rows = np.asarray(rows, dtype=np.int64)
@@ -278,7 +266,6 @@ def score_rows(gt: GroundTruth, cfg: EvalConfig, level: str, query_id, rows):
 def _scores(results, gt: GroundTruth, cfg: EvalConfig, level: str):
     if not results:
         raise ValueError("need at least one query result")
-    _threshold(cfg, level)
     return [
         score_rows(gt, cfg, level, res.query_id, gt.rows_of([h.object_id for h in res.hits]))
         for res in results
@@ -359,7 +346,7 @@ class ScaleReport:
         from mAP are logged once per level."""
         rows = ["\t".join(REPORT_COLUMNS)]
         excluded = {level: [] for level in LEVELS}
-        for lo, hi in self.cfg.scale_bins:
+        for lo, hi in SCALE_BINS:
             subset = [(q, s) for q, s in self._scored if lo <= self.gt.query_area[q] < hi]
             if not subset:
                 rows.append("\t".join([_bin_label(lo, hi), "0", "", "", "", ""]))

@@ -89,32 +89,20 @@ class RankedResult:
     hits: tuple[Hit, ...]
 
 
-def _student_rows(student: StudentNet, feats: np.ndarray, group: int, concat: bool) -> np.ndarray:
-    f_h, f_l = student.forward(feats, group)
-    return np.hstack([f_h, f_l]) if concat else f_h
-
-
 def embed_all(
     student: StudentNet,
     table: ObjectTable,
     provider,
     groups: ScaleGroups,
-    concat: bool = False,
 ) -> EmbeddingStore:
-    """Embed every object through the h-head of its own scale group.
-
-    With ``concat`` both heads are kept, doubling the store width.
-    """
-    dim = student.cfg.student_dim * (2 if concat else 1)
-    out = np.zeros((len(table.ids), dim), dtype=np.float64)
+    """Embed every object through the h-head of its own scale group."""
+    out = np.zeros((len(table.ids), student.cfg.student_dim), dtype=np.float64)
     feats = provider.base_features(table.ids)
     for m in range(groups.k):
         rows = groups.group_rows(m)
         if rows.size:
-            out[rows] = _student_rows(student, feats[rows], m, concat)
-    return EmbeddingStore(
-        vectors=out.astype(np.float32), object_ids=table.ids.copy()
-    )
+            out[rows] = student.forward(feats[rows], m)[0]
+    return EmbeddingStore(vectors=out.astype(np.float32), object_ids=table.ids.copy())
 
 
 def embed_query(
@@ -122,11 +110,10 @@ def embed_query(
     groups: ScaleGroups,
     feature: np.ndarray,
     area: float,
-    concat: bool = False,
 ) -> np.ndarray:
-    """Embed one query feature with the head of the group covering its area."""
+    """Embed one query feature with the h-head of the group covering its area."""
     m = groups.route_area(area)
-    return _student_rows(student, np.asarray(feature, dtype=np.float64)[None, :], m, concat)[0]
+    return student.forward(np.asarray(feature, dtype=np.float64)[None, :], m)[0][0]
 
 
 def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

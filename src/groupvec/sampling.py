@@ -46,12 +46,6 @@ class Batch:
     group_ids: tuple[np.ndarray, ...]
     shared_ids: np.ndarray
 
-    def block_ids(self, m: int) -> np.ndarray:
-        return np.concatenate([self.group_ids[m], self.shared_ids])
-
-    def total_rows(self) -> int:
-        return sum(len(g) + len(self.shared_ids) for g in self.group_ids)
-
 
 def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-point seeding: each new centre is the row farthest from the

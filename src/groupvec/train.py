@@ -73,6 +73,19 @@ def config_digest(cfg: TrainConfig) -> str:
     ).hexdigest()
 
 
+def _config_diff(saved, requested, prefix: str = "") -> list[str]:
+    """``key: old in checkpoint, new requested`` for each field that differs,
+    a nested config's fields as ``loss.<key>``."""
+    out = []
+    for f in dataclasses.fields(saved):
+        a, b = getattr(saved, f.name), getattr(requested, f.name)
+        if dataclasses.is_dataclass(a):
+            out += _config_diff(a, b, f"{prefix}{f.name}.")
+        elif a != b:
+            out.append(f"{prefix}{f.name}: {a} in checkpoint, {b} requested")
+    return out
+
+
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """Half-cosine decay from base_lr at step 0 to 0 at total_steps."""
     if total_steps < 1:
@@ -228,7 +241,9 @@ def train(
     if state is None:
         state = init_state(cfg, provider.base_features(table.ids[:1]).shape[1])
     elif config_digest(state.cfg) != config_digest(cfg):
-        raise ValueError("resume config differs from checkpoint config")
+        raise ValueError(
+            "resume config differs from checkpoint config: " + "; ".join(_config_diff(state.cfg, cfg))
+        )
     lines: list[str] = []
     try:
         while state.step < cfg.steps:
@@ -278,37 +293,52 @@ def save_checkpoint(path, state: TrainState) -> None:
     write_container(path, header, blobs)
 
 
+def _config_from_json(text: str) -> TrainConfig:
+    raw = json.loads(text)
+    raw["loss"] = LossConfig(**raw["loss"])
+    return TrainConfig(**raw)
+
+
 def load_checkpoint(path) -> TrainState:
     header, blobs = read_container(path)
     if header.get("format") != "train-state":
         raise ValueError(f"{path}: not a training checkpoint")
-    raw = json.loads(header["config"])
-    raw["loss"] = LossConfig(**raw["loss"])
-    cfg = TrainConfig(**raw)
-    enc = cfg.encoder_config(int(header["feature_dim"]))
+
+    def get(source: dict, key: str, parse=lambda value: value):
+        """``parse(source[key])``, or a ValueError naming the file and the key."""
+        if key not in source:
+            raise ValueError(f"{path}: checkpoint has no {key!r}")
+        try:
+            return parse(source[key])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: bad {key!r} in checkpoint: {exc}") from None
+
+    cfg = get(header, "config", _config_from_json)
+    enc = cfg.encoder_config(get(header, "feature_dim", int))
     student, teacher = StudentNet(enc), TeacherNet(enc)
     # the file's arrays are fresh and owned, so they become the state as
     # they are, with no initialization to overwrite
     for name, params in (("student.data", student.params), ("teacher.data", teacher.params)):
-        if blobs[name].shape != params.data.shape:
-            raise ValueError(f"{path}: {name} has shape {blobs[name].shape}, the config needs {params.data.shape}")
-        params.data = blobs[name]
+        blob = get(blobs, name)
+        if blob.shape != params.data.shape:
+            raise ValueError(f"{path}: {name} has shape {blob.shape}, the config needs {params.data.shape}")
+        params.data = blob
     opt = OptState(0)
-    opt.m, opt.v, opt.t = blobs["opt.m"], blobs["opt.v"], int(blobs["opt.t"])
+    opt.m, opt.v, opt.t = get(blobs, "opt.m"), get(blobs, "opt.v"), get(blobs, "opt.t", int)
     bank = ntable = None
     if "bank.centroids" in blobs:
         bank = CentroidBank(
             centroids=blobs["bank.centroids"],
-            last_refresh_step=int(blobs["bank.step"]),
+            last_refresh_step=get(blobs, "bank.step", int),
         )
     if "nt.ids" in blobs:
         neighbors = {}
-        for oid, row in zip(blobs["nt.ids"], blobs["nt.rows"]):
+        for oid, row in zip(blobs["nt.ids"], get(blobs, "nt.rows")):
             neighbors[int(oid)] = row[row >= 0].astype(np.int64)
-        ntable = NeighborTable(neighbors=neighbors, last_refresh_step=int(blobs["nt.step"]))
+        ntable = NeighborTable(neighbors=neighbors, last_refresh_step=get(blobs, "nt.step", int))
     rng = np.random.default_rng(cfg.seed)
-    rng.bit_generator.state = json.loads(header["rng_state"])
+    rng.bit_generator.state = get(header, "rng_state", json.loads)
     return TrainState(
         cfg=cfg, student=student, teacher=teacher, opt=opt, bank=bank,
-        ntable=ntable, rng=rng, step=int(header["step"]),
+        ntable=ntable, rng=rng, step=get(header, "step", int),
     )

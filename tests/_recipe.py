@@ -4,13 +4,15 @@
 
 Runs ``synth --seed 0``, ``train --steps 20 --seed 0`` with
 ``[train] refresh_period = 5``, ``embed`` and ``eval --max-queries 200``
-through ``cli.main`` in a temporary directory, then trains the same
-recipe to step 12, resumes it with ``train --resume`` to step 20 and
-reports whether every artifact of the resumed run matches the
-uninterrupted one byte for byte.  The command line has no way to stop a
-20-step run early, so the first 12 steps run through the library, as an
-interrupted run would have left them.  A change that claims to keep the bits keeps these five hashes.  The
-script takes no options and is not collected by pytest.
+through ``cli.main`` in a temporary directory, then re-scores the
+rankings with ``report`` and reports whether that reproduces
+``report.tsv`` byte for byte.  It then trains the same recipe to step 12,
+resumes it with ``train --resume`` to step 20 and reports whether every
+artifact of the resumed run matches the uninterrupted one byte for byte.
+The command line has no way to stop a 20-step run early, so the first 12
+steps run through the library, as an interrupted run would have left
+them.  A change that claims to keep the bits keeps these five hashes.
+The script takes no options and is not collected by pytest.
 """
 
 import contextlib
@@ -50,7 +52,9 @@ def _interrupted(out: Path, train_argv: list, steps: int) -> None:
     (out / "loss.log").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _recipe(root: Path, data: Path, config: Path, resume_at: int | None) -> dict[str, str]:
+def _recipe(root: Path, data: Path, config: Path, resume_at: int | None) -> tuple[dict[str, str], bool]:
+    """The sha256 of each artifact of one run, and whether ``report``
+    re-scores its rankings to the bytes of its ``report.tsv``."""
     out = root / ("resumed" if resume_at else "straight")
     out.mkdir()
     train = ["train", "--config", config, "--data", data, "--out", out,
@@ -64,7 +68,9 @@ def _recipe(root: Path, data: Path, config: Path, resume_at: int | None) -> dict
     _run("eval", "--checkpoint", ckpt, "--data", data, "--store", out / "store.bin",
          "--rankings", out / "rankings.tsv", "--report", out / "report.tsv",
          "--max-queries", 200)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    _run("report", "--rankings", out / "rankings.tsv", "--data", data, "--out", out / "rescored.tsv")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    return digests, (out / "rescored.tsv").read_bytes() == (out / "report.tsv").read_bytes()
 
 
 def run() -> bool:
@@ -75,13 +81,14 @@ def run() -> bool:
         config = root / "recipe.ini"
         config.write_text("[train]\nrefresh_period = 5\n", encoding="utf-8")
         _run("synth", "--seed", 0, "--out", data)
-        straight = _recipe(root, data, config, None)
-        resumed = _recipe(root, data, config, 12)
+        straight, rescored = _recipe(root, data, config, None)
+        resumed, _ = _recipe(root, data, config, 12)
     for name in ARTIFACTS:
         print(f"{straight[name]}  {name}")
     same = straight == resumed
+    print(f"report re-scores rankings.tsv: {'identical' if rescored else 'DIFFERENT'}")
     print(f"resumed at step 12: {'identical' if same else 'DIFFERENT'}")
-    return same
+    return same and rescored
 
 
 if __name__ == "__main__":

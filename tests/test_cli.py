@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from _oracles import eval_scores_loops
+from groupvec.checkpoint import read_container, write_container
 from groupvec.cli import SECTION_TYPES, main, read_config
 from groupvec.data import (
     ObjectRecord,
@@ -232,6 +233,27 @@ class TestTrain:
         )
         assert rc == 1
         assert "MSG1 expected" in err
+
+    @pytest.mark.parametrize("flags, section, message", [
+        pytest.param(["--steps", 4], {}, "steps: 2 in checkpoint, 4 requested", id="steps"),
+        pytest.param([], {"sigma": 2.0}, "loss.sigma: 3.0 in checkpoint, 2.0 requested", id="loss"),
+    ])
+    def test_resume_names_each_differing_key(
+        self, tmp_path, ini, data_dir, capsys, flags, section, message
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, _ = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out, "--steps", 2)
+        assert rc == 0
+        other = write_ini(tmp_path / "other.ini", {
+            "train": {**TRAIN_KW, "steps": 2}, "loss": {**LOSS_KW, **section},
+        })
+        rc, _, err = run(
+            capsys, "train", "--config", other, "--data", data_dir, "--out", out,
+            "--resume", out / "checkpoint.bin", *flags,
+        )
+        assert rc == 1
+        assert err.splitlines()[-1] == f"error: resume config differs from checkpoint config: {message}"
 
     def test_steps_required(self, tmp_path, data_dir, capsys):
         out = tmp_path / "run"
@@ -583,6 +605,60 @@ class TestFileHeads:
         expected = message.format(what=what, magic=magic.decode())
         assert err.splitlines() == [f"error: {path}: {expected}"]
 
+
+class TestStoreWidth:
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    @pytest.mark.parametrize("width", [7, 4])
+    def test_store_of_another_width(self, tmp_path, capsys, command, width):
+        """Width 4 is both heads of the two-wide checkpoint, a layout that
+        is not a store; either width is rejected once, before any query."""
+        d, ckpt, _ = tiny_model(tmp_path)
+        capsys.readouterr()
+        store = tmp_path / "wide.store"
+        EmbeddingStore(np.zeros((4, width), dtype=np.float32), np.arange(4)).save(store)
+        common = ["--checkpoint", ckpt, "--data", d, "--store", store]
+        if command == "eval":
+            argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+        else:
+            argv = ["query", *common, "--query-image", 0, "--query-bbox", "0,0,1,2"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {store}: store width {width} does not match checkpoint width 2"
+        ]
+        assert not (tmp_path / "r.tsv").exists()
+
+
+def _damage(path, case) -> str:
+    """Rewrite a valid checkpoint with one field damaged; returns the field."""
+    header, blobs = read_container(path)
+    if case == "missing blob":
+        del blobs["opt.m"]
+        write_container(path, header, blobs)
+        return "'opt.m'"
+    if case == "config not json":
+        header["config"] = "{steps: 0}"
+        write_container(path, header, blobs)
+        return "'config'"
+    raw = bytearray(path.read_bytes())
+    raw[16] = 0xFF  # the first byte of the header text
+    path.write_bytes(bytes(raw))
+    return "header"
+
+
+class TestDamagedCheckpoint:
+    @pytest.mark.parametrize("case", ["missing blob", "header not utf-8", "config not json"])
+    def test_rejected_in_one_line_naming_file_and_field(self, tmp_path, capsys, case):
+        d, ckpt, _ = tiny_model(tmp_path)
+        capsys.readouterr()
+        field = _damage(ckpt, case)
+        rc, out, err = run(capsys, *_reading("checkpoint", d, ckpt, None, tmp_path))
+        assert rc == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {ckpt}: ")
+        assert field in line
 
 
 class _HalfFullDisk:

@@ -297,46 +297,37 @@ def test_scores_lie_in_unit_interval():
 
 
 def test_eval_config_validation():
-    with pytest.raises(ValueError, match="iou_object"):
-        EvalConfig(iou_object=1.5)
     with pytest.raises(ValueError, match="topk"):
         EvalConfig(topk=0)
-    with pytest.raises(ValueError, match="cover"):
-        EvalConfig(scale_bins=((0.0, 400.0), (400.0, 900.0)))
-    with pytest.raises(ValueError, match="contiguous"):
-        EvalConfig(scale_bins=((0.0, 400.0), (500.0, math.inf)))
-    with pytest.raises(ValueError, match="cover"):
-        EvalConfig(scale_bins=((100.0, 400.0), (400.0, math.inf)))
 
 
 def test_scale_report_buckets_and_format(band_gt):
     gallery = [(1, 1, A), (2, 2, A)]
     annotations = {1: [(0, A)], 2: [(0, A)]}
-    gt = make_gt(gallery, annotations, {10: 0, 11: 0}, {10: 100.0, 11: 900.0})
-    cfg = EvalConfig(scale_bins=((0.0, 400.0), (400.0, math.inf)))
+    gt = make_gt(gallery, annotations, {10: 0, 11: 0}, {10: 100.0, 11: 20000.0})
     results = [
         RankedResult(10, hits_for(gt, [1, 2])),
         RankedResult(11, hits_for(gt, [2, 1])),
     ]
-    text = scale_report(results, gt, cfg)
+    text = scale_report(results, gt, EvalConfig())
     lines = text.split("\n")
     assert lines[0] == "bin\tn\tO-R@1\tO-mAP\tI-R@1\tI-mAP"
     assert lines[1] == "[0,400)\t1\t100.00\t100.00\t100.00\t100.00"
-    assert lines[2] == "[400,inf)\t1\t100.00\t100.00\t100.00\t100.00"
+    assert lines[5] == "[10000,inf)\t1\t100.00\t100.00\t100.00\t100.00"
     assert text.endswith("\n") and "\r" not in text
 
 
 def test_scale_report_empty_bin_row():
     gallery = [(1, 1, A)]
     gt = make_gt(gallery, {1: [(0, A)]}, {10: 0}, {10: 100.0})
-    cfg = EvalConfig(scale_bins=((0.0, 400.0), (400.0, math.inf)))
     results = [RankedResult(10, hits_for(gt, [1]))]
-    lines = scale_report(results, gt, cfg).split("\n")
-    assert lines[2] == "[400,inf)\t0\t\t\t\t"
+    lines = scale_report(results, gt, EvalConfig()).split("\n")
+    assert lines[2] == "[400,900)\t0\t\t\t\t"
 
 
 def test_scale_report_single_bin_equals_global(band_gt):
-    cfg = EvalConfig(scale_bins=((0.0, math.inf),))
+    """Every query falls in the first bin, so its recall is the global one."""
+    cfg = EvalConfig()
     results = [
         RankedResult(99, hits_for(band_gt, [1, 2, 3])),
         RankedResult(99, hits_for(band_gt, [3, 1])),

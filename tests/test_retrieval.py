@@ -261,16 +261,6 @@ def test_embed_all_routes_rows_through_own_group(corpus):
         assert np.array_equal(store.vectors[row], f_h[0].astype(np.float32))
 
 
-def test_embed_all_concat_keeps_both_heads(corpus):
-    table, provider, groups, student = corpus
-    store = embed_all(student, table, provider, groups, concat=True)
-    assert store.dim == 2 * student.cfg.student_dim
-    feats = provider.base_features(table.ids)
-    m = int(groups.assignment[4])
-    f_h, f_l = student.forward(feats[4:5], m)
-    assert np.array_equal(store.vectors[4], np.hstack([f_h[0], f_l[0]]).astype(np.float32))
-
-
 def test_embed_all_is_deterministic_and_file_stable(corpus, tmp_path):
     table, provider, groups, student = corpus
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -287,8 +277,6 @@ def test_embed_query_routes_by_area(corpus):
         emb = embed_query(student, groups, feature, area)
         f_h, _ = student.forward(feature[None, :], m)
         assert np.array_equal(emb, f_h[0])
-    wide = embed_query(student, groups, feature, groups.median_area(0), concat=True)
-    assert wide.shape == (2 * student.cfg.student_dim,)
 
 
 def test_gallery_row_queries_itself_at_distance_zero(corpus, tmp_path):
