@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 import sys
 import typing
 from pathlib import Path
@@ -281,6 +282,19 @@ def _ground_truth(table) -> GroundTruth:
     return gt
 
 
+def _id_prefixes(object_ids: np.ndarray) -> np.ndarray:
+    """The ``"<object id>:"`` that starts each rankings pair, made once per
+    store as an object array, so a ranking picks its prefixes by index."""
+    return np.array([f"{oid}:" for oid in object_ids.tolist()], dtype=object)
+
+
+def _ranking_pairs(prefixes: np.ndarray, dist: np.ndarray) -> str:
+    """The comma-joined ``oid:repr(distance)`` pairs of one ranking, from
+    its prefixes and distances in rank order: the bytes of
+    ``f"{oid}:{d!r}"`` with one ``repr`` per distance."""
+    return ",".join(map(operator.add, prefixes.tolist(), map(repr, dist.tolist())))
+
+
 def cmd_eval(args) -> int:
     topk, max_queries = _eval_settings(args)
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
@@ -295,13 +309,13 @@ def cmd_eval(args) -> int:
     )
     # streamed per query, so memory does not grow with queries x gallery
     gallery_rows = gt.rows_of(store.object_ids)
+    prefixes = _id_prefixes(store.object_ids)
     scores = ScaleReport(gt, EvalConfig(topk=topk))
     with open(args.rankings, "w", encoding="utf-8", newline="\n") as fh:
         for qid in query_ids:
             emb = _embed_object(state, groups, provider, table.get(qid))
             order, dist = rank(store, emb)
-            pairs = map("{}:{!r}".format, store.object_ids[order].tolist(), dist[order].tolist())
-            fh.write(f"{qid}\t{','.join(pairs)}\n")
+            fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
             scores.add(qid, gallery_rows[order])
     report = scores.text()
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:

@@ -4,7 +4,11 @@ Stores hold float32 rows for compactness.  Search is exact and runs in
 float64 on an upcast copy of the rows that each store makes once, on its
 first search: ``rank`` computes the distance to every row and orders the
 rows by (distance, object id), so rankings are deterministic and a query
-equal to a stored row comes back at distance exactly 0.0.  ``rank``
+equal to a stored row comes back at distance exactly 0.0.  The distances
+are taken over blocks of rows through one cache-sized buffer
+(``backends._BLOCK_ELEMS`` elements, 256 rows at 512-d), each row by the
+same subtract-and-sum as in one pass over the whole store, so the block
+size does not change a bit.  ``rank``
 returns arrays for whole-gallery work such as ``groupvec eval``; ``query``
 joins only its top k to the object table as ``Hit`` objects.
 """
@@ -17,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .backends import _BLOCK_ELEMS
 from .checkpoint import atomic_write, read_exact, read_head
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
@@ -130,8 +135,17 @@ def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # search runs at storage precision: a query equal to a stored row must
     # come back at distance exactly zero, so round it to the same grid
     q = q.astype(np.float32).astype(np.float64)
-    diff = store.vectors64 - q
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    # not backends.cross_sqdist: its Gram path for large stores would
+    # lose the exact zero
+    v64, n = store.vectors64, store.count
+    dist = np.empty(n, dtype=np.float64)
+    rows = max(1, _BLOCK_ELEMS // max(store.dim, 1))
+    buf = np.empty((min(rows, n), store.dim), dtype=np.float64)
+    for s in range(0, n, rows):
+        diff = buf[: min(rows, n - s)]
+        np.subtract(v64[s : s + rows], q, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=dist[s : s + rows])
+    np.sqrt(dist, out=dist)
     return np.lexsort((store.object_ids, dist)), dist
 
 

@@ -1,6 +1,6 @@
 """The 20-step recipe: print the sha256 of its five artifacts.
 
-    PYTHONPATH=src python tests/_recipe.py
+    PYTHONPATH=src python tests/_recipe.py [--check]
 
 Runs ``synth --seed 0``, ``train --steps 20 --seed 0`` with
 ``[train] refresh_period = 5``, ``embed`` and ``eval --max-queries 200``
@@ -12,21 +12,33 @@ artifact of the resumed run matches the uninterrupted one byte for byte.
 The command line has no way to stop a 20-step run early, so the first 12
 steps run through the library, as an interrupted run would have left
 them.  A change that claims to keep the bits keeps these five hashes.
-The script takes no options and is not collected by pytest.
+
+With ``--check`` it also compares the hashes with ``recipe_sha256.json``
+next to this script, which records them with the NumPy version and the
+BLAS they were measured under.  It exits non-zero if any hash differs,
+and under another NumPy or BLAS it says "not comparable" and never
+reports a pass: those bits need not agree across builds.  A change that
+moves bits on purpose rewrites that file and says why.  The script is
+not collected by pytest.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from groupvec.cli import _load_data, _train_config, build_parser, main
 from groupvec.data import partition_by_scale
 from groupvec.train import init_state, save_checkpoint, train_step
 
 ARTIFACTS = ("loss.log", "checkpoint.bin", "store.bin", "rankings.tsv", "report.tsv")
+RECORD = Path(__file__).with_name("recipe_sha256.json")
 
 
 def _run(*argv) -> None:
@@ -73,7 +85,25 @@ def _recipe(root: Path, data: Path, config: Path, resume_at: int | None) -> tupl
     return digests, (out / "rescored.tsv").read_bytes() == (out / "report.tsv").read_bytes()
 
 
-def run() -> bool:
+def fingerprint() -> dict[str, str]:
+    """The NumPy version and the BLAS that the recipe's bits depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def check(digests: dict[str, str], here: dict[str, str], record: dict) -> tuple[bool, list[str]]:
+    """Compare one run's hashes, made under ``here``, with a record; a
+    fingerprint that differs makes the run not comparable, never a pass."""
+    then = {key: record[key] for key in here}
+    if then != here:
+        return False, [f"not comparable: recorded under {then}, run under {here}"]
+    bad = [name for name in ARTIFACTS if digests[name] != record["sha256"][name]]
+    if bad:
+        return False, [f"{name}: differs from the record" for name in bad]
+    return True, ["all five hashes match the record"]
+
+
+def run(compare: bool) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         data = root / "data"
@@ -88,8 +118,15 @@ def run() -> bool:
     same = straight == resumed
     print(f"report re-scores rankings.tsv: {'identical' if rescored else 'DIFFERENT'}")
     print(f"resumed at step 12: {'identical' if same else 'DIFFERENT'}")
-    return same and rescored
+    ok = same and rescored
+    if compare:
+        matched, lines = check(straight, fingerprint(), json.loads(RECORD.read_text(encoding="utf-8")))
+        print("\n".join(lines))
+        ok = ok and matched
+    return ok
 
 
 if __name__ == "__main__":
-    sys.exit(0 if run() else 1)
+    parser = argparse.ArgumentParser(description="Hash the five artifacts of the 20-step recipe.")
+    parser.add_argument("--check", action="store_true", help=f"compare the hashes with {RECORD.name}")
+    sys.exit(0 if run(parser.parse_args().check) else 1)

@@ -14,7 +14,7 @@ import pytest
 
 from _oracles import eval_scores_loops
 from groupvec.checkpoint import read_container, write_container
-from groupvec.cli import SECTION_TYPES, main, read_config
+from groupvec.cli import SECTION_TYPES, _id_prefixes, _ranking_pairs, main, read_config
 from groupvec.data import (
     ObjectRecord,
     ObjectTable,
@@ -468,6 +468,20 @@ class TestEval:
             assert rc == 0
             assert rankings.read_bytes() == "".join(lines).encode("utf-8")
             assert report.read_bytes() == want_report.encode("utf-8")
+
+    def test_ranking_pairs_write_the_bytes_of_the_format_string(self):
+        # zero, distances that repr writes in exponent form, and ids at
+        # and above 2**31, in an order that is not the store's
+        ids = np.array([5, 2**31 - 1, 2**31, 2**40 + 3, 2**63 - 1, 0], dtype=np.int64)
+        dist = np.array([0.0, 1e-05, 1.5e16, 2.0 / 3.0, 5e-324, 12.25])
+        order = np.array([2, 0, 4, 1, 5, 3])
+        got = _ranking_pairs(_id_prefixes(ids)[order], dist[order])
+        want = ",".join(f"{oid}:{d!r}" for oid, d in zip(ids[order].tolist(), dist[order].tolist()))
+        assert got == want
+        assert got == (
+            "2147483648:1.5e+16,5:0.0,9223372036854775807:5e-324,2147483647:1e-05,"
+            "0:12.25,1099511627779:0.6666666666666666"
+        )
 
     @pytest.mark.parametrize(
         "bad_line, message",

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from groupvec.backends import _BLOCK_ELEMS
 from groupvec.data import (
     ObjectRecord,
     ObjectTable,
@@ -233,6 +234,59 @@ def test_rank_stored_row_comes_back_at_exactly_zero():
         order, dist = rank(store, store.vectors[row].astype(np.float64))
         assert dist[row] == 0.0
         assert dist[order[0]] == 0.0
+
+
+def _blocked_store(rng, dim):
+    """A store of three whole search blocks plus a partial one of 7 rows,
+    with ids that fall as rows rise, and one row repeated on both sides
+    of each block boundary."""
+    rows = max(1, _BLOCK_ELEMS // dim)
+    n = 3 * rows + 7
+    vec = rng.normal(size=(n, dim)).astype(np.float32)
+    dup = [rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows - 1, 3 * rows]
+    vec[dup] = vec[dup[0]]
+    ids = np.arange(n, 0, -1, dtype=np.int64) * 3
+    return EmbeddingStore(vectors=vec, object_ids=ids), rows, dup
+
+
+def _one_shot(store, q):
+    v64 = store.vectors.astype(np.float64)
+    qq = np.asarray(q, dtype=np.float64).astype(np.float32).astype(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v64 - qq, v64 - qq))
+
+
+@pytest.mark.parametrize("dim", [512, 5])
+def test_rank_bits_equal_one_shot_across_blocks(dim):
+    rng = np.random.default_rng(407)
+    store, rows, _ = _blocked_store(rng, dim)
+    for q in (rng.normal(size=dim), store.vectors[rows + 3] + rng.normal(size=dim) * 1e-3):
+        order, dist = rank(store, q)
+        want = _one_shot(store, q)
+        assert np.array_equal(dist.view(np.int64), want.view(np.int64))
+        assert np.array_equal(order, np.lexsort((store.object_ids, want)))
+
+
+@pytest.mark.parametrize("dim", [512, 5])
+def test_rank_row_in_last_partial_block_at_exactly_zero(dim):
+    rng = np.random.default_rng(408)
+    store, rows, _ = _blocked_store(rng, dim)
+    for row in (3 * rows, 3 * rows + 3, store.count - 1):
+        order, dist = rank(store, store.vectors[row].astype(np.float64))
+        assert dist[row] == 0.0
+        assert dist[order[0]] == 0.0
+
+
+@pytest.mark.parametrize("dim", [512, 5])
+def test_rank_duplicates_across_block_boundaries_order_by_object_id(dim):
+    rng = np.random.default_rng(409)
+    store, _, dup = _blocked_store(rng, dim)
+    for q in (store.vectors[dup[0]], rng.normal(size=dim)):
+        order, dist = rank(store, q)
+        assert len(set(dist[dup].tolist())) == 1
+        pos = np.flatnonzero(np.isin(order, dup))
+        assert np.array_equal(pos, pos[0] + np.arange(len(dup)))
+        # ids fall as rows rise, so the tie-break reverses the row order
+        assert order[pos].tolist() == sorted(dup, reverse=True)
 
 
 def test_float64_copy_is_made_once_per_store():
