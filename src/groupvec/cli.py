@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

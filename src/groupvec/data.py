@@ -91,16 +91,19 @@ def read_manifest(path) -> ObjectTable:
             if len(parts) != 7:
                 raise ValueError(f"{path}: line {lineno}: expected 7 fields, got {len(parts)}")
             oid, img, x, y, w, h, cls = parts
-            records.append(
-                ObjectRecord(
-                    object_id=int(oid),
-                    image_id=int(img),
-                    bbox=(float(x), float(y), float(w), float(h)),
-                    area=float(w) * float(h),
-                    class_id=None if cls == "" else int(cls),
-                    feature_ref=len(records),
+            try:
+                records.append(
+                    ObjectRecord(
+                        object_id=int(oid),
+                        image_id=int(img),
+                        bbox=(float(x), float(y), float(w), float(h)),
+                        area=float(w) * float(h),
+                        class_id=None if cls == "" else int(cls),
+                        feature_ref=len(records),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return ObjectTable(records)
 
 

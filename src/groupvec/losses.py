@@ -244,9 +244,9 @@ def total_loss(
     heads plus one affinity-weighted contrastive term per head, all three
     from one relative-distance matrix per head and one teacher affinity
     matrix, so the result is that of the public per-group losses.  Across
-    groups: the centroid-alignment term on the trailing ``n_shared`` rows
-    of each h-head block (those rows hold the same objects in the same
-    order in every group).
+    two or more groups: the centroid-alignment term on the trailing
+    ``n_shared`` rows of each h-head block (those rows hold the same
+    objects in the same order in every group); one group has no such term.
 
     Returns ``(total, parts, d_f_h, d_f_l)`` where parts has keys
     ``self``, ``con_h``, ``con_l``, ``ckd`` and the gradient lists align
@@ -278,7 +278,7 @@ def total_loss(
         parts["con_l"] += cl
         d_fh.append(gh + gch)
         d_fl.append(gl + gcl)
-    if n_shared > 0:
+    if n_shared > 0 and k > 1:
         blocks = [np.asarray(b, dtype=np.float64)[-n_shared:] for b in f_h]
         ckd, gshared = _ckd_with_grads(blocks, centroids, cfg)
         parts["ckd"] = ckd

@@ -5,10 +5,9 @@ float64 on an upcast copy of the rows that each store makes once, on its
 first search: ``rank`` computes the distance to every row and orders the
 rows by (distance, object id), so rankings are deterministic and a query
 equal to a stored row comes back at distance exactly 0.0.  The distances
-are taken over blocks of rows through one cache-sized buffer
-(``backends._BLOCK_ELEMS`` elements, 256 rows at 512-d), each row by the
-same subtract-and-sum as in one pass over the whole store, so the block
-size does not change a bit.  ``rank``
+are ``backends.exact_sqdist``'s per-row sums, taken over blocks of rows
+through one cache-sized buffer (256 rows at 512-d) with the same bits as
+one pass over the whole store, at any store size.  ``rank``
 returns arrays for whole-gallery work such as ``groupvec eval``; ``query``
 joins only its top k to the object table as ``Hit`` objects.
 """
@@ -21,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .backends import _BLOCK_ELEMS
+from .backends import exact_sqdist
 from .checkpoint import atomic_write, read_exact, read_head
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
@@ -135,16 +134,7 @@ def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # search runs at storage precision: a query equal to a stored row must
     # come back at distance exactly zero, so round it to the same grid
     q = q.astype(np.float32).astype(np.float64)
-    # not backends.cross_sqdist: its Gram path for large stores would
-    # lose the exact zero
-    v64, n = store.vectors64, store.count
-    dist = np.empty(n, dtype=np.float64)
-    rows = max(1, _BLOCK_ELEMS // max(store.dim, 1))
-    buf = np.empty((min(rows, n), store.dim), dtype=np.float64)
-    for s in range(0, n, rows):
-        diff = buf[: min(rows, n - s)]
-        np.subtract(v64[s : s + rows], q, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=dist[s : s + rows])
+    dist = exact_sqdist(store.vectors64, q[None, :]).ravel()
     np.sqrt(dist, out=dist)
     return np.lexsort((store.object_ids, dist)), dist
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import assign_nearest, cross_sqdist, exact_path, row_sqnorms
+from .backends import assign_nearest, exact_sqdist, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
 
@@ -51,31 +51,20 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
     """Farthest-point seeding: each new centre is the row farthest from the
     centres so far (ties to the lowest index).
 
-    Each new centre is screened against every row with one Gram product
-    under ``_gram_slack``; only rows whose screened distance minus the
-    slack does not exceed their current minimum can lower it, so only
-    those are measured with ``cross_sqdist`` and the minima are the same
-    to the bit as measuring every row.  Every row is measured when a
-    screened value is not finite, or when ``cross_sqdist`` would take its
-    Gram path for the whole matrix (its values are then not per-row sums).
-    """
-    n, dim = f.shape
-    chosen = [int(rng.integers(n))]
-    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
-    screen = exact_path(n, 1, dim)
+    Only the rows whose lower ``_gram_bounds`` to a new centre do not exceed
+    their current minimum can lower it, so only those are measured with
+    ``exact_sqdist``: the minima are those of measuring every row, to the
+    bit.  Every row is measured when a screened value is not finite."""
+    chosen = [int(rng.integers(f.shape[0]))]
+    mind = exact_sqdist(f, f[chosen[-1]][None, :]).ravel()
     sq = row_sqnorms(f)
     while len(chosen) < n_clusters:
         # ties go to the lowest index via argmax on the raw array
         nxt = int(np.argmax(mind))
         chosen.append(nxt)
-        rows = slice(None)
-        if screen:
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = sq + sq[nxt]
-                approx = total - 2.0 * (f @ f[nxt])
-                if np.isfinite(approx).all():
-                    rows = np.flatnonzero(approx - _gram_slack(total, dim) <= mind)
-        mind[rows] = np.minimum(mind[rows], cross_sqdist(f[rows], f[nxt][None, :]).ravel())
+        bounds = _gram_bounds(f, sq, f[nxt], sq[nxt])
+        rows = slice(None) if bounds is None else np.flatnonzero(bounds[0] <= mind)
+        mind[rows] = np.minimum(mind[rows], exact_sqdist(f[rows], f[nxt][None, :]).ravel())
     return f[np.array(chosen)].copy()
 
 
@@ -194,21 +183,31 @@ def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
     ``take``-th exact distance, ties included.  A group with a non-finite
     screened value keeps every row.
     """
-    n, dim = sub.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", sub, sub)
-        total = sq[:, None] + sq[None, :]
-        approx = total - 2.0 * (sub @ sub.T)
-        if np.isfinite(approx).all():
-            slack = _gram_slack(total, dim)
-            upper = approx + slack
-            np.fill_diagonal(upper, np.inf)
-            kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
-            keep = approx - slack <= kth[:, None]
-        else:
-            keep = np.ones((n, n), dtype=bool)
+    sq = row_sqnorms(sub)
+    bounds = _gram_bounds(sub, sq, sub, sq)
+    if bounds is None:
+        keep = np.ones((len(sub), len(sub)), dtype=bool)
+    else:
+        lower, upper = bounds
+        np.fill_diagonal(upper, np.inf)
+        kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
+        keep = lower <= kth[:, None]
     np.fill_diagonal(keep, False)
     return [np.flatnonzero(row) for row in keep]
+
+
+def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y):
+    """The screened distances ``|x|^2 + |y|^2 - 2 x.y`` of the rows of ``x``
+    to the rows of ``y`` (or to one row ``y``), from their squared norms,
+    minus and plus ``_gram_slack``: bounds on the exact distances.  None
+    when a screened value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.outer(sq_x, sq_y)
+        approx = total - 2.0 * (x @ y.T)
+        if not np.isfinite(approx).all():
+            return None
+        slack = _gram_slack(total, x.shape[1])
+        return approx - slack, approx + slack
 
 
 def _gram_slack(total: np.ndarray, dim: int) -> np.ndarray:

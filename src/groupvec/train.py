@@ -240,10 +240,8 @@ def train(
     groups = partition_by_scale(table, cfg.groups)
     if state is None:
         state = init_state(cfg, provider.base_features(table.ids[:1]).shape[1])
-    elif config_digest(state.cfg) != config_digest(cfg):
-        raise ValueError(
-            "resume config differs from checkpoint config: " + "; ".join(_config_diff(state.cfg, cfg))
-        )
+    elif diff := _config_diff(state.cfg, cfg):
+        raise ValueError("resume config differs from checkpoint config: " + "; ".join(diff))
     lines: list[str] = []
     try:
         while state.step < cfg.steps:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupvec.backends import cross_sqdist
+from groupvec.backends import exact_sqdist
 from groupvec.losses import (
     _centroid_sim_fwd,
     _ckd_with_grads,
@@ -324,14 +324,14 @@ def adam_step_whole(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps
 
 def farthest_point_loop(f, n_clusters, rng):
     """Farthest-point seeding that measures every row against each new
-    centre with ``cross_sqdist``.  Same signature and result as
+    centre with ``exact_sqdist``.  Same signature and result as
     ``sampling._farthest_point_init``."""
     chosen = [int(rng.integers(f.shape[0]))]
-    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    mind = exact_sqdist(f, f[chosen[-1]][None, :]).ravel()
     while len(chosen) < n_clusters:
         nxt = int(np.argmax(mind))
         chosen.append(nxt)
-        mind = np.minimum(mind, cross_sqdist(f, f[nxt][None, :]).ravel())
+        mind = np.minimum(mind, exact_sqdist(f, f[nxt][None, :]).ravel())
     return f[np.array(chosen)].copy()
 
 

@@ -222,6 +222,47 @@ class TestTrain:
         assert (part / "loss.log").read_bytes() == (whole / "loss.log").read_bytes()
         assert (part / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
 
+    def test_resume_accepts_an_equal_value_of_another_type(self, tmp_path, data_dir, capsys):
+        # a library config may say lr=1 where the INI file's lr = 1 parses
+        # to 1.0: the same value, so the resume goes on
+        kw = {**TRAIN_KW, "lr": 1}
+        ini = write_ini(tmp_path / "lr1.ini", {"train": kw, "loss": LOSS_KW})
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        rc, _, _ = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", whole)
+        assert rc == 0
+
+        part = tmp_path / "part"
+        part.mkdir()
+        table, _, provider = _load_data(data_dir)
+        cfg = TrainConfig(**kw, loss=LossConfig(**LOSS_KW))
+        groups = partition_by_scale(table, cfg.groups)
+        state = init_state(cfg, SYNTH_KW["feature_dim"])
+        head = [train_step(state, groups, provider) for _ in range(3)]
+        save_checkpoint(part / "checkpoint.bin", state)
+        (part / "loss.log").write_text("".join(l + "\n" for l in head))
+
+        rc, _, err = run(
+            capsys, "train", "--config", ini, "--data", data_dir,
+            "--out", part, "--resume", part / "checkpoint.bin",
+        )
+        assert rc == 0, err
+        assert (part / "loss.log").read_bytes() == (whole / "loss.log").read_bytes()
+
+    def test_diverging_run_ends_in_one_error_line(self, tmp_path, data_dir, capsys):
+        ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
+        out = tmp_path / "run"
+        out.mkdir()
+        with np.errstate(all="ignore"):
+            rc, _, err = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out)
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "error: non-finite gradient; optimizer step aborted"
+        # the state is saved as it was when the step was refused
+        steps = len((out / "loss.log").read_text().splitlines())
+        assert 0 < steps < TRAIN_KW["steps"]
+        assert load_checkpoint(out / "checkpoint.bin").step == steps
+
     def test_bad_checkpoint_magic(self, tmp_path, ini, data_dir, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXX" + b"\0" * 32)
@@ -272,6 +313,27 @@ class TestTrain:
         assert rc == 0
         assert "train.lr = 0.001" in err
         assert "train.loss.sigma = 3.0" in err
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("column, value, message", [
+        pytest.param(4, "x", "could not convert string to float: 'x'", id="float"),
+        pytest.param(1, "7.5", "invalid literal for int() with base 10: '7.5'", id="int"),
+        pytest.param(4, "0", "bbox width/height must be positive, got w=0.0 h=", id="record"),
+    ])
+    def test_bad_field_names_file_and_line(self, tmp_path, ini, data_dir, capsys, column, value, message):
+        manifest = data_dir / "manifest.tsv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        fields = lines[4].split("\t")
+        fields[column] = value
+        lines[4] = "\t".join(fields)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, err = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out)
+        assert rc == 1
+        assert err.splitlines()[-1].startswith(f"error: {manifest}: line 5: ")
+        assert message in err.splitlines()[-1]
 
 
 class TestQuery:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import fd_grad
-from groupvec import backends, losses, sampling
+from groupvec import backends, losses, retrieval, sampling
 
 KERNELS = ("cross_sqdist", "pairwise_dist", "pairwise_dist_grad", "assign_nearest")
 
@@ -24,11 +24,18 @@ def test_benchmark_contract():
         assert callable(getattr(backends, name))
     callers = {
         losses: ("cross_sqdist", "pairwise_dist", "pairwise_dist_grad"),
-        sampling: ("cross_sqdist", "assign_nearest"),
+        sampling: ("assign_nearest", "exact_sqdist"),
+        retrieval: ("exact_sqdist",),
     }
     for module, names in callers.items():
         for name in names:
             assert getattr(module, name) is getattr(backends, name)
+    # only cross_sqdist chooses by size between exact sums and the Gram
+    # form: seeding and search measure with exact_sqdist at any size
+    for module in (sampling, retrieval):
+        assert not hasattr(module, "cross_sqdist") and not hasattr(module, "exact_path")
+    private = [n for n in vars(backends) if n.startswith("_") and not n.startswith("__")]
+    assert [n for n in private if n in vars(retrieval)] == []
 
 
 def test_cross_sqdist_blas_path_matches_exact_sum():

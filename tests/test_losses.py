@@ -358,6 +358,14 @@ class TestTotalLoss:
         assert parts["ckd"] == 0.0
         assert total == pytest.approx(s + ch + cl, rel=1e-12)
 
+    def test_single_group_logs_no_alignment_warning(self, caplog):
+        # a one-group run would log it on every step
+        f_h, f_l, f_t, cents = random_batch(27, k=1)
+        with caplog.at_level(logging.WARNING):
+            _, parts, _, _ = total_loss(f_h, f_l, f_t, cents, n_shared=6, cfg=CFG)
+        assert parts["ckd"] == 0.0
+        assert caplog.records == []
+
     def test_components_recomputed_independently(self):
         f_h, f_l, f_t, cents = random_batch(27, k=3, n=7)
         n_shared = 2

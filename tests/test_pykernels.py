@@ -1,9 +1,10 @@
 """Exactness of the NumPy kernels' blocked evaluation.
 
-The exact path of ``cross_sqdist`` and the row norms of its Gram path work
-in cache-sized blocks, and ``self_sqdist`` measures only the upper
-triangle of its blocks.  Neither may change a single bit: each entry is
-compared with the whole-array expression or the kernel it replaces.
+``exact_sqdist`` (the exact path of ``cross_sqdist``) and the row norms of
+the Gram path work in cache-sized blocks, and ``self_sqdist`` measures
+only the upper triangle of its blocks.  Neither may change a single bit:
+each entry is compared with the whole-array expression or the kernel it
+replaces, below the budget and above it.
 """
 
 import numpy as np
@@ -77,11 +78,28 @@ def test_self_sqdist_equals_cross_sqdist(n, d, offset):
         assert got[n - 1, 0] == 0.0 and got[0, n - 1] == 0.0
 
 
-def test_self_sqdist_above_the_budget_is_cross_sqdist():
+def _per_row_sums(x, c):
+    """The exact squared distances one row of x at a time."""
+    return np.stack([np.einsum("jk,jk->j", row - c, row - c) for row in x])
+
+
+def test_exact_sqdist_above_the_budget_is_the_per_pair_sum():
+    rng = np.random.default_rng(3)
+    x, c = rng.normal(size=(1500, 48)) + 1e4, rng.normal(size=(300, 48)) + 1e4
+    c[0] = x[0]
+    assert not backends.exact_path(1500, 300, 48)
+    got = backends.exact_sqdist(x, c)
+    assert np.array_equal(got.view(np.int64), _per_row_sums(x, c).view(np.int64))
+    assert got[0, 0] == 0.0
+
+
+def test_self_sqdist_above_the_budget_is_the_exact_sum():
     n, d = _largest_exact_n(48) + 1, 48
     assert not backends.exact_path(n, n, d)
-    x = np.random.default_rng(5).normal(size=(n, d))
-    assert np.array_equal(
-        backends.self_sqdist(x).view(np.int64),
-        backends.cross_sqdist(x, x).view(np.int64),
-    )
+    x = np.random.default_rng(5).normal(size=(n, d)) + 1e4
+    x[n - 1] = x[0]
+    got = backends.self_sqdist(x)
+    assert np.array_equal(got.view(np.int64), _per_row_sums(x, x).view(np.int64))
+    assert np.array_equal(got, got.T)
+    assert np.array_equal(np.diag(got), np.zeros(n))
+    assert got[n - 1, 0] == 0.0

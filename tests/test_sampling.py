@@ -231,14 +231,14 @@ class TestKnnTableAtRefreshScale:
 
 
 def _measured_rows(monkeypatch):
-    """Record the row count of every ``cross_sqdist`` call the sampler makes."""
+    """Record the row count of every ``exact_sqdist`` call the sampler makes."""
     sizes = []
 
     def counting(x, c):
         sizes.append(len(x))
-        return backends_mod.cross_sqdist(x, c)
+        return backends_mod.exact_sqdist(x, c)
 
-    monkeypatch.setattr(sampling_mod, "cross_sqdist", counting)
+    monkeypatch.setattr(sampling_mod, "exact_sqdist", counting)
     return sizes
 
 
@@ -289,15 +289,17 @@ class TestScreenedSeeding:
         assert sizes == [300] * 20
         assert same_bits(got, want)
 
-    def test_gram_path_inputs_measure_every_row(self, monkeypatch):
-        # where cross_sqdist takes its Gram path for the whole matrix its
-        # values are not per-row sums, so no row may be skipped
+    def test_above_the_budget_equals_the_exact_loop(self, monkeypatch):
+        # with the budget lowered, every row-centre matrix of the seeding is
+        # above it, where cross_sqdist would round the decimal lattice's
+        # ties apart; the seeding measures with exact_sqdist at any size
         monkeypatch.setattr(backends_mod, "_BROADCAST_BUDGET", 1000)
-        f = np.random.default_rng(9).normal(size=(300, 16)) + 50.0
+        rng = np.random.default_rng(9)
+        f = 0.1 * np.round(rng.normal(size=(300, 16)) * 0.7) + 50.0
         want = farthest_point_loop(f, 20, np.random.default_rng(4))
         sizes = _measured_rows(monkeypatch)
         got = _farthest_point_init(f, 20, np.random.default_rng(4))
-        assert sizes == [300] * 20
+        assert sizes[0] == 300 and sum(sizes[1:]) < 300 * 19
         assert same_bits(got, want)
 
 
