@@ -51,13 +51,14 @@ def write_container(path, header: dict[str, str], blobs: dict[str, np.ndarray]) 
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Write through the sibling file ``<path>.tmp`` and move it over
-    ``path`` when the block ends, so a run that dies mid-write leaves the
-    previous file whole.  On an error the temporary file is removed."""
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Write through the sibling file ``<path>.tmp``, opened with
+    ``open(tmp, mode, **kwargs)``, and move it over ``path`` when the block
+    ends, so a run that dies mid-write leaves the previous file whole.  On
+    an error the temporary file is removed."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import (
     BaseFeatureProvider,
     SynthConfig,
@@ -29,7 +30,7 @@ from .data import (
 )
 from .losses import LossConfig
 from .metrics import EvalConfig, GroundTruth, ScaleReport
-from .retrieval import EmbeddingStore, embed_all, embed_query, query, rank
+from .retrieval import EmbeddingStore, embed_all, query, rank
 from .train import TrainConfig, load_checkpoint, train
 
 
@@ -89,8 +90,15 @@ def read_config(path) -> dict:
     return sections
 
 
-def _section(config: dict, name: str) -> dict:
-    return dict(config.get(name, {}))
+def _settings(args, section: str) -> dict:
+    """The ``[section]`` keys of ``--config``, each overridden by the flag
+    of the same name when it is given."""
+    config = read_config(args.config) if getattr(args, "config", None) else {}
+    kwargs = dict(config.get(section, {}))
+    for key in SECTION_TYPES[section]:
+        if getattr(args, key, None) is not None:
+            kwargs[key] = getattr(args, key)
+    return kwargs
 
 
 def _echo_config(label: str, cfg) -> None:
@@ -113,6 +121,14 @@ def _require_dir(path, flag: str) -> Path:
     return p
 
 
+def _load_features(path, rows: int, what: str) -> np.ndarray:
+    """The feature matrix at ``path``, one row for each of ``rows`` ``what``."""
+    features = np.load(path)
+    if features.ndim != 2 or features.shape[0] != rows:
+        raise ValueError(f"{path}: {features.shape[0]} feature rows for {rows} {what}")
+    return features
+
+
 def _load_data(data_dir):
     data_dir = _require_dir(data_dir, "--data")
     manifest = data_dir / "manifest.tsv"
@@ -121,24 +137,24 @@ def _load_data(data_dir):
         if not p.is_file():
             raise ValueError(f"{p}: missing corpus file")
     table = read_manifest(manifest)
-    features = np.load(feats)
-    if features.ndim != 2 or features.shape[0] != len(table):
-        raise ValueError(
-            f"{feats}: {features.shape[0]} feature rows for {len(table)} objects"
-        )
+    features = _load_features(feats, len(table), "objects")
     return table, features, BaseFeatureProvider.from_table(table, features)
 
 
 def _write_corpus(out_dir, table, features) -> None:
     write_manifest(table, out_dir / "manifest.tsv")
-    np.save(out_dir / "features.npy", np.ascontiguousarray(features, dtype=np.float64))
+    with atomic_write(out_dir / "features.npy") as fh:
+        np.save(fh, np.ascontiguousarray(features, dtype=np.float64))
+
+
+def _text_out(path):
+    """``path`` opened for UTF-8 text with LF line ends, through
+    ``atomic_write``: it is replaced whole when the block ends, or not at all."""
+    return atomic_write(path, "w", encoding="utf-8", newline="\n")
 
 
 def cmd_synth(args) -> int:
-    kwargs = _section(read_config(args.config) if args.config else {}, "synth")
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    cfg = SynthConfig(**kwargs)
+    cfg = SynthConfig(**_settings(args, "synth"))
     out = _require_dir(args.out, "--out")
     _echo_config("synth", cfg)
     table, features = synth_generate(cfg)
@@ -150,11 +166,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     out = _require_dir(args.out, "--out")
     table = ingest_coco(args.annotations)
-    features = np.load(args.features)
-    if features.ndim != 2 or features.shape[0] != len(table):
-        raise ValueError(
-            f"{args.features}: {features.shape[0]} feature rows for {len(table)} annotations"
-        )
+    features = _load_features(args.features, len(table), "annotations")
     _echo_config("ingest", {"annotations": args.annotations, "features": args.features})
     _write_corpus(out, table, features)
     print(f"wrote {len(table)} objects to {out}", file=sys.stderr)
@@ -162,18 +174,10 @@ def cmd_ingest(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    config = read_config(args.config) if args.config else {}
-    kwargs = _section(config, "train")
-    loss_kwargs = _section(config, "loss")
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    kwargs = _settings(args, "train")
     if "steps" not in kwargs:
         raise UsageError("train: steps required (flag --steps or [train] steps)")
-    if loss_kwargs:
-        kwargs["loss"] = LossConfig(**loss_kwargs)
-    return TrainConfig(**kwargs)
+    return TrainConfig(**kwargs, loss=LossConfig(**_settings(args, "loss")))
 
 
 def cmd_train(args) -> int:
@@ -220,13 +224,6 @@ def _parse_bbox(text: str):
     return x, y, w, h
 
 
-def _find_object(table, image_id: int, bbox) -> int:
-    for oid in table.image_index.get(image_id, []):
-        if table.get(oid).bbox == bbox:
-            return oid
-    raise ValueError(f"no object with bbox {bbox} in image {image_id}")
-
-
 def _load_store(path, state) -> EmbeddingStore:
     """The store at ``path``; its width must be the checkpoint's embedding width."""
     store = EmbeddingStore.load(path)
@@ -235,24 +232,21 @@ def _load_store(path, state) -> EmbeddingStore:
     return store
 
 
-def _embed_object(state, groups, provider, rec) -> np.ndarray:
-    feature = provider.base_features(np.array([rec.object_id]))[0]
-    return embed_query(state.student, groups, feature, rec.area)
-
-
 def cmd_query(args) -> int:
-    if args.topk < 1:
-        raise UsageError("--topk must be at least 1")
+    topk, _ = _eval_settings(args)
     bbox = _parse_bbox(args.query_bbox)
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
     store = _load_store(args.store, state)
-    oid = _find_object(table, args.query_image, bbox)
-    _echo_config(
-        "query",
-        {"checkpoint": args.checkpoint, "object": oid, "topk": args.topk},
-    )
-    emb = _embed_object(state, groups, provider, table.get(oid))
-    result = query(store, emb, args.topk, table, query_id=oid)
+    rows = np.flatnonzero((table.image_ids == args.query_image) & (table.bboxes == bbox).all(axis=1))
+    if rows.size == 0:
+        raise ValueError(f"no object with bbox {bbox} in image {args.query_image}")
+    row = int(rows[0])
+    oid = int(table.ids[row])
+    _echo_config("query", {"checkpoint": args.checkpoint, "object": oid, "topk": topk})
+    # the h head of the object's own group, which embedded its store row
+    feature = provider.base_features(table.ids[row : row + 1])
+    emb = state.student.forward(feature, int(groups.assignment[row]))[0][0]
+    result = query(store, emb, topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
         x, y, w, h = hit.bbox
         print(f"{rank}\t{hit.object_id}\t{hit.distance!r}\t{hit.image_id}\t{x!r}\t{y!r}\t{w!r}\t{h!r}")
@@ -260,19 +254,12 @@ def cmd_query(args) -> int:
 
 
 def _eval_settings(args):
-    config = read_config(args.config) if args.config else {}
-    kwargs = _section(config, "eval")
-    if getattr(args, "topk", None) is not None:
-        kwargs["topk"] = args.topk
-    if getattr(args, "max_queries", None) is not None:
-        kwargs["max_queries"] = args.max_queries
-    topk = kwargs.get("topk")
-    if topk is not None and topk < 1:
-        raise UsageError("--topk must be at least 1")
-    max_queries = kwargs.get("max_queries")
-    if max_queries is not None and max_queries < 1:
-        raise UsageError("--max-queries must be at least 1")
-    return topk, max_queries
+    """``(topk, max_queries)``, each None when unset and at least 1 when set."""
+    kwargs = _settings(args, "eval")
+    for key in ("topk", "max_queries"):
+        if kwargs.get(key, 1) < 1:
+            raise UsageError(f"--{key.replace('_', '-')} must be at least 1")
+    return kwargs.get("topk"), kwargs.get("max_queries")
 
 
 def _ground_truth(table) -> GroundTruth:
@@ -300,25 +287,25 @@ def cmd_eval(args) -> int:
     state, table, provider, groups = _load_model(args.checkpoint, args.data)
     store = _load_store(args.store, state)
     gt = _ground_truth(table)
-    query_ids = [int(i) for i in table.ids]
-    if max_queries is not None:
-        query_ids = query_ids[:max_queries]
+    queries = table.ids[:max_queries]
     _echo_config(
         "eval",
-        {"checkpoint": args.checkpoint, "queries": len(query_ids), "topk": topk},
+        {"checkpoint": args.checkpoint, "queries": len(queries), "topk": topk},
     )
     # streamed per query, so memory does not grow with queries x gallery
     gallery_rows = gt.rows_of(store.object_ids)
     prefixes = _id_prefixes(store.object_ids)
     scores = ScaleReport(gt, EvalConfig(topk=topk))
-    with open(args.rankings, "w", encoding="utf-8", newline="\n") as fh:
-        for qid in query_ids:
-            emb = _embed_object(state, groups, provider, table.get(qid))
+    # query i is table row i, embedded by the h head of its own group
+    feats = provider.base_features(queries)
+    with _text_out(args.rankings) as fh:
+        for row, qid in enumerate(queries.tolist()):
+            emb = state.student.forward(feats[row : row + 1], int(groups.assignment[row]))[0][0]
             order, dist = rank(store, emb)
             fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
             scores.add(qid, gallery_rows[order])
     report = scores.text()
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(args.report) as fh:
         fh.write(report)
     sys.stdout.write(report)
     return 0
@@ -371,7 +358,7 @@ def cmd_report(args) -> int:
     _score_rankings(args.rankings, gt, scores)
     report = scores.text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _text_out(args.out) as fh:
             fh.write(report)
     sys.stdout.write(report)
     return 0

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 CANVAS = 4096.0  # virtual image side for synthesized boxes
 _MIN_SIDE = 1.0
 _MAX_SIDE = 4000.0
@@ -49,9 +51,6 @@ class ObjectTable:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate object_id in table")
         self.records: list[ObjectRecord] = records
-        self.image_index: dict[int, list[int]] = {}
-        for r in records:
-            self.image_index.setdefault(r.image_id, []).append(r.object_id)
         self._by_id = {r.object_id: r for r in records}
         self.ids = np.array(ids, dtype=np.int64)
         self.areas = np.array([r.area for r in records], dtype=np.float64)
@@ -70,8 +69,9 @@ class ObjectTable:
 
 
 def write_manifest(table: ObjectTable, path) -> None:
-    """Tab-separated object manifest, one record per line, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Tab-separated object manifest, one record per line, LF endings,
+    written atomically."""
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in table:
             x, y, w, h = r.bbox
             cls = "" if r.class_id is None else str(r.class_id)

@@ -34,6 +34,7 @@ class LossConfig:
 
     def __post_init__(self):
         for name in ("sigma", "delta", "tau", "epsilon_floor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

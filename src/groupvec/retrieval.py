@@ -1,22 +1,22 @@
 """Gallery embedding and exact nearest-neighbor search.
 
-Stores hold float32 rows for compactness.  Search is exact and runs in
-float64 on an upcast copy of the rows that each store makes once, on its
-first search: ``rank`` computes the distance to every row and orders the
-rows by (distance, object id), so rankings are deterministic and a query
-equal to a stored row comes back at distance exactly 0.0.  The distances
-are ``backends.exact_sqdist``'s per-row sums, taken over blocks of rows
+A store holds one float64 array whose values are float32: its rows are
+rounded to float32 once, when the store is made, and its file keeps
+them as float32.  Search is exact and reads that array: ``rank``
+computes the distance to every row and orders the rows by (distance,
+object id), so rankings are deterministic and a query equal to a stored
+row comes back at distance exactly 0.0.  The distances are
+``backends.exact_sqdist``'s per-row sums, taken over blocks of rows
 through one cache-sized buffer (256 rows at 512-d) with the same bits as
-one pass over the whole store, at any store size.  ``rank``
-returns arrays for whole-gallery work such as ``groupvec eval``; ``query``
-joins only its top k to the object table as ``Hit`` objects.
+one pass over the whole store, at any store size.  ``rank`` returns
+arrays for whole-gallery work such as ``groupvec eval``; ``query`` joins
+only its top k to the object table as ``Hit`` objects.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,7 @@ STORE_VERSION = 1
 
 @dataclass(frozen=True)
 class EmbeddingStore:
-    vectors: np.ndarray  # (n, dim) float32
+    vectors: np.ndarray  # (n, dim) float64, each value a float32
     object_ids: np.ndarray  # (n,) int64, unique
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class EmbeddingStore:
             raise ValueError("vectors and object ids must align")
         if np.unique(ids).size != ids.size:
             raise ValueError("object ids must be unique")
+        # storage precision, kept in the float64 that search computes in
+        object.__setattr__(self, "vectors", np.asarray(v, dtype=np.float32).astype(np.float64))
 
     @property
     def count(self) -> int:
@@ -48,12 +50,6 @@ class EmbeddingStore:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    @cached_property
-    def vectors64(self) -> np.ndarray:
-        """The rows upcast to float64, made on first use and kept with the
-        store; ``vectors`` must not be modified after the first search."""
-        return self.vectors.astype(np.float64)
 
     def save(self, path) -> None:
         with atomic_write(path) as fh:
@@ -74,7 +70,7 @@ class EmbeddingStore:
         vec = np.frombuffer(vec_raw, dtype="<f4")
         ids = np.frombuffer(ids_raw, dtype="<u8")
         return cls(
-            vectors=vec.reshape(count, dim).copy(),
+            vectors=vec.reshape(count, dim),
             object_ids=ids.astype(np.int64),
         )
 
@@ -106,7 +102,7 @@ def embed_all(
         rows = groups.group_rows(m)
         if rows.size:
             out[rows] = student.forward(feats[rows], m)[0]
-    return EmbeddingStore(vectors=out.astype(np.float32), object_ids=table.ids.copy())
+    return EmbeddingStore(vectors=out, object_ids=table.ids.copy())
 
 
 def embed_query(
@@ -115,7 +111,12 @@ def embed_query(
     feature: np.ndarray,
     area: float,
 ) -> np.ndarray:
-    """Embed one query feature with the h-head of the group covering its area."""
+    """Embed one query feature with the h-head of the group covering its area.
+
+    An object of the table was embedded into its store row by the head of
+    ``groups.assignment[row]``, which ``groupvec query`` and ``eval`` use;
+    an area equal to a later group's first area routes to that group.
+    """
     m = groups.route_area(area)
     return student.forward(np.asarray(feature, dtype=np.float64)[None, :], m)[0][0]
 
@@ -134,7 +135,7 @@ def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # search runs at storage precision: a query equal to a stored row must
     # come back at distance exactly zero, so round it to the same grid
     q = q.astype(np.float32).astype(np.float64)
-    dist = exact_sqdist(store.vectors64, q[None, :]).ravel()
+    dist = exact_sqdist(store.vectors, q[None, :]).ravel()
     np.sqrt(dist, out=dist)
     return np.lexsort((store.object_ids, dist)), dist
 

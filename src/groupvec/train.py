@@ -44,6 +44,10 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        # an int given for a float field is stored as the float, so the
+        # checkpoint header and its hash do not depend on how it was given
+        for name in ("lr", "weight_decay", "ema_momentum"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         for name in ("batch", "groups", "clusters", "knn", "refresh_period",
@@ -235,7 +239,10 @@ def train(
     """Train until ``cfg.steps``; returns ``(state, loss_log_lines)``.
 
     Pass a loaded state to continue a run.  If ``checkpoint_path`` is set,
-    the state is saved there on normal completion and on abort.
+    the state is saved there on normal completion and on abort.  A
+    diverging run overflows before its gradient turns non-finite; NumPy's
+    overflow and invalid-value warnings are off in the loop, and the
+    optimizer's non-finite-gradient error is the one signal.
     """
     groups = partition_by_scale(table, cfg.groups)
     if state is None:
@@ -244,17 +251,15 @@ def train(
         raise ValueError("resume config differs from checkpoint config: " + "; ".join(diff))
     lines: list[str] = []
     try:
-        while state.step < cfg.steps:
-            line = train_step(state, groups, provider)
-            lines.append(line)
-            if log is not None:
-                log.write(line + "\n")
-    except BaseException:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while state.step < cfg.steps:
+                line = train_step(state, groups, provider)
+                lines.append(line)
+                if log is not None:
+                    log.write(line + "\n")
+    finally:
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, state)
-        raise
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, state)
     return state, lines
 
 

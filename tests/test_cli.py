@@ -25,7 +25,7 @@ from groupvec.data import (
 from groupvec.cli import _load_data
 from groupvec.data import BaseFeatureProvider
 from groupvec.losses import LossConfig
-from groupvec.metrics import EvalConfig, GroundTruth, scale_report
+from groupvec.metrics import EvalConfig, GroundTruth, ScaleReport, scale_report
 from groupvec.retrieval import EmbeddingStore, embed_query, query
 from groupvec.train import (
     TrainConfig,
@@ -224,7 +224,8 @@ class TestTrain:
 
     def test_resume_accepts_an_equal_value_of_another_type(self, tmp_path, data_dir, capsys):
         # a library config may say lr=1 where the INI file's lr = 1 parses
-        # to 1.0: the same value, so the resume goes on
+        # to 1.0: the same value, so the resume goes on, and both configs
+        # hold 1.0, so the resumed checkpoint is the uninterrupted one
         kw = {**TRAIN_KW, "lr": 1}
         ini = write_ini(tmp_path / "lr1.ini", {"train": kw, "loss": LOSS_KW})
         whole = tmp_path / "whole"
@@ -248,6 +249,7 @@ class TestTrain:
         )
         assert rc == 0, err
         assert (part / "loss.log").read_bytes() == (whole / "loss.log").read_bytes()
+        assert (part / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
 
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, data_dir, capsys):
         ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
@@ -262,6 +264,17 @@ class TestTrain:
         steps = len((out / "loss.log").read_text().splitlines())
         assert 0 < steps < TRAIN_KW["steps"]
         assert load_checkpoint(out / "checkpoint.bin").step == steps
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_raises_no_numpy_warning(self, tmp_path, data_dir, capsys):
+        # no np.errstate here: a NumPy RuntimeWarning anywhere in the run
+        # is an exception that main does not catch
+        ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, err = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out)
+        assert rc == 1
+        assert err.splitlines()[-1] == "error: non-finite gradient; optimizer step aborted"
 
     def test_bad_checkpoint_magic(self, tmp_path, ini, data_dir, capsys):
         bad = tmp_path / "bad.bin"
@@ -385,6 +398,65 @@ class TestQuery:
         )
         assert rc == 2
         assert "x,y,w,h" in err
+
+
+def tied_area_model(tmp_path):
+    """Eight objects of widths 1, 2, 3, 3, 3, 3, 5, 6 and height 1 in two
+    scale groups, an untrained checkpoint whose two h heads differ, and
+    its store.  Objects 2 and 3 are in group 0, but their area 3 is group
+    1's first area, so routing by area would embed them with head 1."""
+    widths = (1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 5.0, 6.0)
+    records = [
+        ObjectRecord(object_id=i, image_id=i // 2, bbox=(float(i), 0.0, w, 1.0),
+                     area=w, class_id=i % 2, feature_ref=i)
+        for i, w in enumerate(widths)
+    ]
+    table = ObjectTable(records)
+    d = tmp_path / "tied"
+    d.mkdir()
+    write_manifest(table, d / "manifest.tsv")
+    np.save(d / "features.npy", np.random.default_rng(13).normal(size=(8, 3)))
+    cfg = TrainConfig(
+        steps=0, batch=4, groups=2, clusters=2, knn=1, n_shared=1,
+        hidden_dim=4, trunk_layers=1, student_dim=3, teacher_dim=3,
+    )
+    state = init_state(cfg, 3)
+    state.student.params.view("head_h1.w")[:] += 1.0
+    groups = partition_by_scale(table, 2)
+    assert groups.assignment.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert groups.route_area(3.0) == 1
+    ckpt, store = tmp_path / "tied.ckpt", tmp_path / "tied.store"
+    save_checkpoint(ckpt, state)
+    assert main(["embed", "--checkpoint", str(ckpt), "--data", str(d), "--out", str(store)]) == 0
+    return d, ckpt, store
+
+
+class TestTiedAreas:
+    """A query object is embedded by the head that embedded its store row."""
+
+    def test_every_eval_ranking_starts_with_its_query_at_zero(self, tmp_path, capsys):
+        d, ckpt, store = tied_area_model(tmp_path)
+        rankings = tmp_path / "rankings.tsv"
+        rc, _, err = run(
+            capsys, "eval", "--checkpoint", ckpt, "--data", d, "--store", store,
+            "--rankings", rankings, "--report", tmp_path / "report.tsv",
+        )
+        assert rc == 0, err
+        lines = rankings.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 8
+        for line in lines:
+            qid, ranked = line.split("\t")
+            assert ranked.split(",")[0] == f"{qid}:0.0"
+
+    @pytest.mark.parametrize("oid", [2, 3])
+    def test_query_finds_the_object_at_zero(self, tmp_path, capsys, oid):
+        d, ckpt, store = tied_area_model(tmp_path)
+        rc, out, err = run(
+            capsys, "query", "--checkpoint", ckpt, "--data", d, "--store", store,
+            "--query-image", oid // 2, "--query-bbox", f"{oid},0,3,1", "--topk", 3,
+        )
+        assert rc == 0, err
+        assert out.splitlines()[0].split("\t")[:3] == ["1", str(oid), "0.0"]
 
 
 def fixture_corpus(tmp_path):
@@ -794,6 +866,34 @@ class TestCrashSafeWrites:
         rewrite()
         assert path.read_bytes() != old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny", "tiny.ckpt", "tiny.store"]
+
+class TestAtomicOutputs:
+    def test_failed_eval_keeps_previous_outputs(self, trained, tmp_path, capsys, monkeypatch):
+        data_dir, ckpt, store = trained
+        rankings, report = tmp_path / "rankings.tsv", tmp_path / "report.tsv"
+        argv = ["eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store,
+                "--rankings", rankings, "--report", report, "--max-queries", 12]
+        assert run(capsys, *argv)[0] == 0
+        before = [rankings.read_bytes(), report.read_bytes()]
+
+        add, calls = ScaleReport.add, []
+
+        def add_then_fail(self, qid, rows):
+            calls.append(qid)
+            if len(calls) == 6:
+                raise ValueError("scoring failed")
+            return add(self, qid, rows)
+
+        monkeypatch.setattr(ScaleReport, "add", add_then_fail)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: scoring failed"
+        ]
+        assert [rankings.read_bytes(), report.read_bytes()] == before
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+
 
 class TestIngest:
     def test_round_trip(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ class TestIngest:
         p.write_text(json.dumps(doc))
         table = ingest_coco(p)
         assert len(table) == 2
-        assert table.image_index[7] == [1, 2]
+        assert table.ids[table.image_ids == 7].tolist() == [1, 2]
         assert table.get(2).area == 8.0
         assert table.get(1).class_id == 3
 

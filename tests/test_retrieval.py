@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from groupvec import backends, retrieval
 from groupvec.backends import _BLOCK_ELEMS
 from groupvec.data import (
     ObjectRecord,
@@ -68,8 +69,10 @@ def test_store_round_trip_preserves_bytes(tmp_path):
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     store.save(p1)
     loaded = EmbeddingStore.load(p1)
+    # float64 rows, each value a float32, written back as the same bytes
     assert np.array_equal(loaded.vectors, store.vectors)
-    assert loaded.vectors.dtype == np.float32
+    assert loaded.vectors.dtype == np.float64
+    assert np.array_equal(loaded.vectors.astype(np.float32).astype(np.float64), loaded.vectors)
     assert np.array_equal(loaded.object_ids, store.object_ids)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -289,17 +292,25 @@ def test_rank_duplicates_across_block_boundaries_order_by_object_id(dim):
         assert order[pos].tolist() == sorted(dup, reverse=True)
 
 
-def test_float64_copy_is_made_once_per_store():
+def test_store_holds_one_array_and_rank_reads_it(monkeypatch):
     rng = np.random.default_rng(406)
-    store = random_store(rng, n=20, dim=4)
+    rows = rng.normal(size=(20, 4))
+    store = EmbeddingStore(rows, np.arange(20))
+    # rounded to float32 once, when the store is made, and kept as float64
+    assert store.vectors.dtype == np.float64
+    assert np.array_equal(store.vectors, rows.astype(np.float32).astype(np.float64))
+    assert [name for name in vars(store) if name != "object_ids"] == ["vectors"]
+    seen = []
+
+    def exact_sqdist(x, c):
+        seen.append(x)
+        return backends.exact_sqdist(x, c)
+
+    monkeypatch.setattr(retrieval, "exact_sqdist", exact_sqdist)
     table = small_table([(i, 0, (0.0, 0.0, 1.0, 1.0)) for i in range(20)])
-    assert "vectors64" not in vars(store)
-    query(store, rng.normal(size=4), topk=3, table=table)
-    first = store.vectors64
-    query(store, rng.normal(size=4), topk=3, table=table)
-    assert store.vectors64 is first
-    assert first.dtype == np.float64
-    assert np.array_equal(first, store.vectors)
+    for _ in range(2):
+        query(store, rng.normal(size=4), topk=3, table=table)
+    assert len(seen) == 2 and all(x is store.vectors for x in seen)
 
 
 def test_embed_all_routes_rows_through_own_group(corpus):
