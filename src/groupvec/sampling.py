@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import assign_nearest, exact_sqdist, row_sqnorms
+from .backends import KeptDistances, assign_nearest, exact_sqdist, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
 
@@ -68,23 +68,26 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
     return f[np.array(chosen)].copy()
 
 
-def _cluster_sums(f: np.ndarray, assign: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Per-cluster row sums, each adding its rows in row order from +0.0,
-    as ``np.add.at`` does, to the bit.
+def _cluster_sums(f: np.ndarray, assign: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+    """Row sums of the given clusters, each adding its rows in row order
+    from +0.0, as ``np.add.at`` does, to the bit.
 
     A cluster's rows are gathered by a stable sort of ``assign`` into one
     C-contiguous block, and a sum over its first axis adds them one row at
     a time.  A single column keeps ``np.add.at``: NumPy sums it pairwise.
     """
-    sums = np.zeros((n_clusters, f.shape[1]), dtype=np.float64)
+    clusters = np.asarray(clusters, dtype=np.int64)
     if f.shape[1] == 1:
+        sums = np.zeros((max(assign.max(), clusters.max()) + 1, 1), dtype=np.float64)
         np.add.at(sums, assign, f)
-        return sums
-    counts = np.bincount(assign, minlength=n_clusters)
+        return sums[clusters]
     order = np.argsort(assign, kind="stable")
-    ends = np.cumsum(counts)
-    for j in np.flatnonzero(counts):
-        sums[j] = f[order[ends[j] - counts[j] : ends[j]]].sum(axis=0)
+    labels = assign[order]
+    starts = np.searchsorted(labels, clusters, side="left")
+    ends = np.searchsorted(labels, clusters, side="right")
+    sums = np.zeros((clusters.size, f.shape[1]), dtype=np.float64)
+    for i in np.flatnonzero(ends > starts):
+        sums[i] = f[order[starts[i] : ends[i]]].sum(axis=0)
     return sums
 
 
@@ -93,14 +96,20 @@ def _lloyd(f: np.ndarray, n_clusters: int, iters: int, rng: np.random.Generator)
 
     Returns (centroids, inertia_trace); the trace is evaluated against the
     centroids at the top of each iteration and is non-increasing.
+
+    A cluster whose rows are the same as in the last iteration keeps its
+    centroid and its distance column to the bit, so after the first update
+    only the clusters that a relabelled row left or joined are summed and
+    measured again: at least two, or none, and then Lloyd has converged.
     """
     cents = _farthest_point_init(f, n_clusters, rng)
     trace: list[float] = []
+    kept = KeptDistances()
     prev_assign = None
+    moved = None  # every centroid is new
     n = f.shape[0]
     for _ in range(iters):
-        assign, own = assign_nearest(f, cents)
-        own = own.copy()
+        assign, own = assign_nearest(f, cents, kept, moved)
         trace.append(float(own.sum()))
         counts = np.bincount(assign, minlength=n_clusters)
         pending = list(np.flatnonzero(counts == 0))
@@ -116,11 +125,15 @@ def _lloyd(f: np.ndarray, n_clusters: int, iters: int, rng: np.random.Generator)
             steals += 1
             if counts[old] == 0:  # stealing may cascade
                 pending.append(old)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        sums = _cluster_sums(f, assign, n_clusters)
-        filled = np.maximum(counts, 1)
-        cents = sums / filled[:, None]
+        if prev_assign is None:
+            moved = np.arange(n_clusters)
+        else:
+            changed = assign != prev_assign
+            if not changed.any():
+                break
+            moved = np.union1d(prev_assign[changed], assign[changed])
+        filled = np.maximum(counts[moved], 1)
+        cents[moved] = _cluster_sums(f, assign, moved) / filled[:, None]
         prev_assign = assign
     return cents, trace
 

@@ -63,16 +63,19 @@ def split_corpus(synth_cfg: SynthConfig, eval_fraction=EVAL_FRACTION, n_queries=
     return train_table, eval_table, queries, ScaledProvider(model, feature_scale)
 
 
+# arm -> its training settings, in the order the ablation reports them
+ARMS = {
+    "baseline": dict(groups=1, n_shared=0),
+    "heads": dict(groups=4, n_shared=0),
+    "full": dict(groups=4, n_shared=6),
+}
+
+
 def arm_config(arm: str, steps: int, seed: int, **overrides) -> TrainConfig:
-    arms = {
-        "baseline": dict(groups=1, n_shared=0),
-        "heads": dict(groups=4, n_shared=0),
-        "full": dict(groups=4, n_shared=6),
-    }
-    if arm not in arms:
+    if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
     kw = dict(steps=steps, seed=seed)
-    kw.update(arms[arm])
+    kw.update(ARMS[arm])
     kw.update(overrides)
     return TrainConfig(**kw)
 
@@ -100,12 +103,10 @@ def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries,
     return mean_ap(results, gt, EvalConfig(), "object")
 
 
-def run_ablation(corpus_seed: int, steps: int, train_seed: int, synth_cfg=None, **overrides):
-    """mAP of all three arms on one corpus: dict arm -> held-out mAP."""
+def arm_map(corpus_seed: int, arm: str, steps: int, train_seed: int, synth_cfg=None, **overrides) -> float:
+    """Held-out object mAP of one arm on one corpus.  Each call builds its
+    own corpus, so the calls of an ablation can run in separate processes."""
     cfg = synth_cfg if synth_cfg is not None else SynthConfig(seed=corpus_seed)
     train_table, eval_table, queries, model = split_corpus(cfg)
-    out = {}
-    for arm in ("baseline", "heads", "full"):
-        tc = arm_config(arm, steps=steps, seed=train_seed, **overrides)
-        out[arm] = heldout_object_map(tc, train_table, eval_table, queries, model)
-    return out
+    tc = arm_config(arm, steps=steps, seed=train_seed, **overrides)
+    return heldout_object_map(tc, train_table, eval_table, queries, model)

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupvec.backends import exact_sqdist
+from groupvec.backends import assign_nearest, exact_sqdist
 from groupvec.losses import (
     _centroid_sim_fwd,
     _ckd_with_grads,
     relaxed_contrastive,
     self_distill,
 )
-from groupvec.sampling import NeighborTable, kmeans, knn_table
+from groupvec.sampling import NeighborTable, _farthest_point_init, kmeans, knn_table
 
 log = logging.getLogger(__name__)
 
@@ -341,6 +341,40 @@ def cluster_sums_add_at(f, assign, n_clusters):
     sums = np.zeros((n_clusters, f.shape[1]))
     np.add.at(sums, assign, f)
     return sums
+
+
+def lloyd_full(f, n_clusters, iters, rng):
+    """Lloyd iterations that assign every row against every centroid and
+    sum every cluster in each iteration.  Same signature and result as
+    ``sampling._lloyd``."""
+    cents = _farthest_point_init(f, n_clusters, rng)
+    trace = []
+    prev_assign = None
+    n = f.shape[0]
+    for _ in range(iters):
+        assign, own = assign_nearest(f, cents)
+        own = own.copy()
+        trace.append(float(own.sum()))
+        counts = np.bincount(assign, minlength=n_clusters)
+        pending = list(np.flatnonzero(counts == 0))
+        steals = 0
+        while pending and steals < n:
+            empty = pending.pop(0)
+            j = int(np.argmax(own))
+            old = int(assign[j])
+            assign[j] = empty
+            own[j] = 0.0
+            counts[empty] += 1
+            counts[old] -= 1
+            steals += 1
+            if counts[old] == 0:  # stealing may cascade
+                pending.append(old)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        sums = cluster_sums_add_at(f, assign, n_clusters)
+        cents = sums / np.maximum(counts, 1)[:, None]
+        prev_assign = assign
+    return cents, trace
 
 
 def refresh_composition(step, teacher, groups, provider, n_clusters=100,

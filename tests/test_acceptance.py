@@ -8,6 +8,8 @@ the one documented property that provably cannot hold.
 """
 
 import math
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -36,7 +38,7 @@ from groupvec.retrieval import EmbeddingStore, query
 from groupvec.sampling import _lloyd, knn_table, refresh
 from groupvec.train import TrainConfig, init_state
 
-from _ablation import run_ablation
+from _ablation import ARMS, arm_map
 from _oracles import (
     SimilarityMatrix,
     centroid_similarity,
@@ -402,12 +404,18 @@ ABLATION_SEEDS = (0, 1, 2, 3, 4)
 ABLATION_STEPS = 300
 
 
-def test_criterion_6_grouping_and_alignment_help():
-    per_arm = {"baseline": [], "heads": [], "full": []}
-    for seed in ABLATION_SEEDS:
-        result = run_ablation(corpus_seed=seed, steps=ABLATION_STEPS, train_seed=seed)
-        for arm, value in result.items():
-            per_arm[arm].append(100.0 * value)
+def test_criterion_6_grouping_and_alignment_help(monkeypatch):
+    # The 15 trainings are independent: they run in spawned workers, one
+    # per CPU, each with one BLAS thread from the environment it starts
+    # with, and come back in seed order.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    runs = [(seed, arm, ABLATION_STEPS, seed) for seed in ABLATION_SEEDS for arm in ARMS]
+    with multiprocessing.get_context("spawn").Pool(min(os.cpu_count() or 1, len(runs))) as pool:
+        values = pool.starmap(arm_map, runs, chunksize=1)
+    per_arm = {arm: [] for arm in ARMS}
+    for (_, arm, _, _), value in zip(runs, values):
+        per_arm[arm].append(100.0 * value)
     med = {arm: float(np.median(v)) for arm, v in per_arm.items()}
     ordered = med["baseline"] < med["heads"] <= med["full"]
     margin = med["full"] - med["baseline"]

@@ -6,10 +6,12 @@ rounding cannot decide the tie.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import _recipe
 from _oracles import fd_grad
 from groupvec import backends, losses, retrieval, sampling
 
@@ -90,6 +92,39 @@ def test_assign_nearest_tie_goes_to_lowest_index():
     assert labels.tolist() == [1]
     assert labels.dtype == np.int64
     assert d.tolist() == [1.0]
+
+
+def _kept_equals_fresh(x, c, rng):
+    """Replace 2, 3, ..., L rows of c in turn and check that assigning with
+    the kept matrix gives the bits of a fresh call."""
+    kept = backends.KeptDistances()
+    backends.assign_nearest(x, c, kept)
+    for k in range(2, len(c) + 1):
+        moved = np.sort(rng.choice(len(c), size=k, replace=False))
+        c = c.copy()
+        c[moved] = rng.normal(size=(k, c.shape[1]))
+        labels, own = backends.assign_nearest(x, c, kept, moved)
+        want_labels, want_own = backends.assign_nearest(x, c)
+        assert np.array_equal(kept.sq, backends.cross_sqdist(x, c))
+        assert np.array_equal(labels, want_labels) and np.array_equal(own, want_own)
+
+
+def test_kept_matrix_equals_a_fresh_call_on_the_gram_side():
+    # a column subset of a BLAS product need not equal the same columns of
+    # the whole product; this pins it for the build the record was made on
+    if reason := _recipe.other_build():
+        pytest.skip(reason)
+    rng = np.random.default_rng(12)
+    x, c = rng.normal(size=(2000, 512)), rng.normal(size=(100, 512))
+    assert not backends.exact_path(2000, 100, 512)
+    _kept_equals_fresh(x, c, rng)
+
+
+def test_kept_matrix_equals_a_fresh_call_on_the_exact_side():
+    rng = np.random.default_rng(13)
+    x, c = rng.normal(size=(300, 9)), rng.normal(size=(40, 9))
+    assert backends.exact_path(300, 40, 9)
+    _kept_equals_fresh(x, c, rng)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,11 +5,13 @@ import pytest
 
 import groupvec.backends as backends_mod
 import groupvec.sampling as sampling_mod
+import _recipe
 from _oracles import (
     cluster_sums_add_at,
     farthest_point_loop,
     knn_loops,
     knn_rows,
+    lloyd_full,
     refresh_composition,
 )
 from groupvec.data import SynthConfig, partition_by_scale, synth_generate_full
@@ -315,7 +317,9 @@ class TestClusterSums:
             f = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
             assign = rng.integers(0, n_clusters, size=n)
             want = cluster_sums_add_at(f, assign, n_clusters)
-            assert same_bits(_cluster_sums(f, assign, n_clusters), want)
+            assert same_bits(_cluster_sums(f, assign, np.arange(n_clusters)), want)
+            some = np.sort(rng.choice(n_clusters + 3, size=int(rng.integers(1, n_clusters + 4)), replace=False))
+            assert same_bits(_cluster_sums(f, assign, some), np.vstack([want, np.zeros((3, dim))])[some])
 
     @pytest.mark.parametrize("dim", [1, 6])
     def test_adversarial_clusters(self, dim):
@@ -324,10 +328,56 @@ class TestClusterSums:
         f[:, -1] = -0.0
         assign = rng.integers(2, 6, size=40)
         assign[17] = 0  # one-row cluster; cluster 1 stays empty
-        got = _cluster_sums(f, assign, 6)
+        got = _cluster_sums(f, assign, np.arange(6))
         assert same_bits(got, cluster_sums_add_at(f, assign, 6))
         assert not np.signbit(got[:, -1]).any()  # all -0.0 sums to +0.0
         assert same_bits(got[1], np.zeros(dim))
+
+
+def _same_lloyd(f, n_clusters, iters, seed):
+    """``_lloyd`` against ``lloyd_full`` from one seed: the same centroids
+    and inertia trace, to the bit.  Returns the iteration count."""
+    got, got_trace = _lloyd(f, n_clusters, iters, np.random.default_rng(seed))
+    want, want_trace = lloyd_full(f, n_clusters, iters, np.random.default_rng(seed))
+    assert same_bits(got, want)
+    assert got_trace == want_trace
+    return len(want_trace)
+
+
+class TestIncrementalLloyd:
+    """Lloyd that sums and measures only the clusters whose rows changed
+    equals the one that assigns and sums everything in every iteration."""
+
+    def test_gram_side_early_convergence_and_all_iterations(self, head_scale):
+        if reason := _recipe.other_build():
+            pytest.skip(reason)
+        assert not backends_mod.exact_path(2000, 100, 512)
+        assert _same_lloyd(head_scale, 100, 20, seed=3) < 20
+        assert _same_lloyd(head_scale, 100, 20, seed=5) == 20
+
+    def test_gram_side_duplicate_rows_force_steals(self, head_scale):
+        if reason := _recipe.other_build():
+            pytest.skip(reason)
+        # 60 distinct rows for 100 clusters: clusters empty every iteration
+        rng = np.random.default_rng(4)
+        f = head_scale[rng.integers(0, 2000, size=60)][rng.integers(0, 60, size=2000)]
+        assert _same_lloyd(f, 100, 20, seed=0) == 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_side(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, n_clusters = int(rng.integers(20, 200)), int(rng.integers(1, 9)), int(rng.integers(2, 12))
+        f = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+        if seed % 2:
+            f = np.round(f)  # exact distance ties
+        assert backends_mod.exact_path(n, n_clusters, dim)
+        _same_lloyd(f, n_clusters, 20, seed)
+        _same_lloyd(f, n_clusters, 2, seed)  # stopped by the iteration count
+
+    def test_exact_side_duplicate_rows_force_steals(self):
+        # three distinct positions for six clusters
+        f = np.repeat(np.array([[0.0, 1.0], [3.0, -2.0], [5.0, 5.0]]), [7, 5, 9], axis=0)
+        assert _same_lloyd(f, 6, 20, seed=1) >= 2
 
 
 def small_corpus(n_objects=200, seed=0, k=4):
