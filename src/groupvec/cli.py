@@ -129,15 +129,21 @@ def _load_features(path, rows: int, what: str) -> np.ndarray:
     return features
 
 
+def _corpus_file(data_dir, name: str) -> Path:
+    p = _require_dir(data_dir, "--data") / name
+    if not p.is_file():
+        raise ValueError(f"{p}: missing corpus file")
+    return p
+
+
+def _load_table(data_dir):
+    """The object table, read from the manifest alone."""
+    return read_manifest(_corpus_file(data_dir, "manifest.tsv"))
+
+
 def _load_data(data_dir):
-    data_dir = _require_dir(data_dir, "--data")
-    manifest = data_dir / "manifest.tsv"
-    feats = data_dir / "features.npy"
-    for p in (manifest, feats):
-        if not p.is_file():
-            raise ValueError(f"{p}: missing corpus file")
-    table = read_manifest(manifest)
-    features = _load_features(feats, len(table), "objects")
+    table = _load_table(data_dir)
+    features = _load_features(_corpus_file(data_dir, "features.npy"), len(table), "objects")
     return table, features, BaseFeatureProvider.from_table(table, features)
 
 
@@ -195,17 +201,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(checkpoint, data_dir):
-    state = load_checkpoint(checkpoint)
-    table, _, provider = _load_data(data_dir)
-    groups = partition_by_scale(table, state.cfg.groups)
-    return state, table, provider, groups
-
-
 def cmd_embed(args) -> int:
-    state, table, provider, groups = _load_model(args.checkpoint, args.data)
+    state = load_checkpoint(args.checkpoint)
+    table, _, provider = _load_data(args.data)
     _echo_config("embed", {"checkpoint": args.checkpoint})
-    store = embed_all(state.student, table, provider, groups)
+    store = embed_all(state.student, table, provider, partition_by_scale(table, state.cfg.groups))
     store.save(args.out)
     print(f"embedded {store.count} objects at width {store.dim}", file=sys.stderr)
     return 0
@@ -224,29 +224,31 @@ def _parse_bbox(text: str):
     return x, y, w, h
 
 
-def _load_store(path, state) -> EmbeddingStore:
-    """The store at ``path``; its width must be the checkpoint's embedding width."""
+def _load_store(path, checkpoint, query_ids: list[int]):
+    """The store at ``path``, whose width must be the checkpoint's, and
+    the row of each query id in it: a query's embedding is its own row."""
+    width = load_checkpoint(checkpoint).cfg.student_dim
     store = EmbeddingStore.load(path)
-    if store.dim != state.cfg.student_dim:
-        raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {state.cfg.student_dim}")
-    return store
+    if store.dim != width:
+        raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {width}")
+    row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
+    try:
+        return store, [row_of[qid] for qid in query_ids]
+    except KeyError as exc:
+        raise ValueError(f"{path}: object {exc.args[0]} is not in the store") from None
 
 
 def cmd_query(args) -> int:
     topk, _ = _eval_settings(args)
     bbox = _parse_bbox(args.query_bbox)
-    state, table, provider, groups = _load_model(args.checkpoint, args.data)
-    store = _load_store(args.store, state)
+    table = _load_table(args.data)
     rows = np.flatnonzero((table.image_ids == args.query_image) & (table.bboxes == bbox).all(axis=1))
     if rows.size == 0:
         raise ValueError(f"no object with bbox {bbox} in image {args.query_image}")
-    row = int(rows[0])
-    oid = int(table.ids[row])
+    oid = int(table.ids[rows[0]])
+    store, [row] = _load_store(args.store, args.checkpoint, [oid])
     _echo_config("query", {"checkpoint": args.checkpoint, "object": oid, "topk": topk})
-    # the h head of the object's own group, which embedded its store row
-    feature = provider.base_features(table.ids[row : row + 1])
-    emb = state.student.forward(feature, int(groups.assignment[row]))[0][0]
-    result = query(store, emb, topk, table, query_id=oid)
+    result = query(store, store.vectors[row], topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
         x, y, w, h = hit.bbox
         print(f"{rank}\t{hit.object_id}\t{hit.distance!r}\t{hit.image_id}\t{x!r}\t{y!r}\t{w!r}\t{h!r}")
@@ -284,10 +286,10 @@ def _ranking_pairs(prefixes: np.ndarray, dist: np.ndarray) -> str:
 
 def cmd_eval(args) -> int:
     topk, max_queries = _eval_settings(args)
-    state, table, provider, groups = _load_model(args.checkpoint, args.data)
-    store = _load_store(args.store, state)
+    table = _load_table(args.data)
     gt = _ground_truth(table)
-    queries = table.ids[:max_queries]
+    queries = table.ids[:max_queries].tolist()
+    store, rows = _load_store(args.store, args.checkpoint, queries)
     _echo_config(
         "eval",
         {"checkpoint": args.checkpoint, "queries": len(queries), "topk": topk},
@@ -296,12 +298,9 @@ def cmd_eval(args) -> int:
     gallery_rows = gt.rows_of(store.object_ids)
     prefixes = _id_prefixes(store.object_ids)
     scores = ScaleReport(gt, EvalConfig(topk=topk))
-    # query i is table row i, embedded by the h head of its own group
-    feats = provider.base_features(queries)
     with _text_out(args.rankings) as fh:
-        for row, qid in enumerate(queries.tolist()):
-            emb = state.student.forward(feats[row : row + 1], int(groups.assignment[row]))[0][0]
-            order, dist = rank(store, emb)
+        for qid, row in zip(queries, rows):
+            order, dist = rank(store, store.vectors[row])
             fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
             scores.add(qid, gallery_rows[order])
     report = scores.text()
@@ -313,7 +312,9 @@ def cmd_eval(args) -> int:
 
 def _score_rankings(path, gt: GroundTruth, scores: ScaleReport) -> None:
     """Add every query of a rankings file to ``scores``; a malformed line
-    is a ValueError naming the file and the line."""
+    is a ValueError naming the file and the line, and so is a query's
+    second line."""
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -330,6 +331,9 @@ def _score_rankings(path, gt: GroundTruth, scores: ScaleReport) -> None:
                 raise ValueError(f"{where}: bad query id {qid_text!r}") from None
             if qid not in gt.query_class:
                 raise ValueError(f"{where}: unknown query id {qid}")
+            if qid in seen:
+                raise ValueError(f"{where}: query {qid} appears twice")
+            seen.add(qid)
             oids = []
             for item in ranked.split(",") if ranked else ():
                 oid_text, sep, dist_text = item.partition(":")
@@ -351,8 +355,7 @@ def _score_rankings(path, gt: GroundTruth, scores: ScaleReport) -> None:
 
 def cmd_report(args) -> int:
     topk, _ = _eval_settings(args)
-    table, _, _ = _load_data(args.data)
-    gt = _ground_truth(table)
+    gt = _ground_truth(_load_table(args.data))
     _echo_config("report", {"rankings": args.rankings, "topk": topk})
     scores = ScaleReport(gt, EvalConfig(topk=topk))
     _score_rankings(args.rankings, gt, scores)

@@ -9,8 +9,9 @@ row comes back at distance exactly 0.0.  The distances are
 ``backends.exact_sqdist``'s per-row sums, taken over blocks of rows
 through one cache-sized buffer (256 rows at 512-d) with the same bits as
 one pass over the whole store, at any store size.  ``rank`` returns
-arrays for whole-gallery work such as ``groupvec eval``; ``query`` joins
-only its top k to the object table as ``Hit`` objects.
+arrays for whole-gallery work such as ``groupvec eval``, which searches
+with each query object's own store row; ``query`` joins only its top k
+to the object table as ``Hit`` objects.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def embed_query(
 ) -> np.ndarray:
     """Embed one query feature with the h-head of the group covering its area.
 
-    An object of the table was embedded into its store row by the head of
-    ``groups.assignment[row]``, which ``groupvec query`` and ``eval`` use;
-    an area equal to a later group's first area routes to that group.
+    ``groupvec query`` and ``eval`` rank a table object's own store row
+    instead, which the head of ``groups.assignment[row]`` embedded; an
+    area equal to a later group's first area routes to that group.
     """
     m = groups.route_area(area)
     return student.forward(np.asarray(feature, dtype=np.float64)[None, :], m)[0][0]

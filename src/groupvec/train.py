@@ -316,27 +316,34 @@ def load_checkpoint(path) -> TrainState:
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad {key!r} in checkpoint: {exc}") from None
 
+    def shaped(name: str, *dims):
+        """Blob ``name``, of shape ``dims``; a dim of None matches any length."""
+        blob = get(blobs, name)
+        need = tuple(n if d is None else d for n, d in zip(blob.shape, dims))
+        if blob.ndim != len(dims) or blob.shape != need:
+            raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
+        return blob
+
     cfg = get(header, "config", _config_from_json)
     enc = cfg.encoder_config(get(header, "feature_dim", int))
     student, teacher = StudentNet(enc), TeacherNet(enc)
     # the file's arrays are fresh and owned, so they become the state as
     # they are, with no initialization to overwrite
     for name, params in (("student.data", student.params), ("teacher.data", teacher.params)):
-        blob = get(blobs, name)
-        if blob.shape != params.data.shape:
-            raise ValueError(f"{path}: {name} has shape {blob.shape}, the config needs {params.data.shape}")
-        params.data = blob
+        params.data = shaped(name, params.data.size)
+    size = student.params.data.size
     opt = OptState(0)
-    opt.m, opt.v, opt.t = get(blobs, "opt.m"), get(blobs, "opt.v"), get(blobs, "opt.t", int)
+    opt.m, opt.v, opt.t = shaped("opt.m", size), shaped("opt.v", size), get(blobs, "opt.t", int)
     bank = ntable = None
     if "bank.centroids" in blobs:
         bank = CentroidBank(
-            centroids=blobs["bank.centroids"],
+            centroids=shaped("bank.centroids", cfg.clusters, cfg.student_dim),
             last_refresh_step=get(blobs, "bank.step", int),
         )
     if "nt.ids" in blobs:
+        ids = shaped("nt.ids", None)
         neighbors = {}
-        for oid, row in zip(blobs["nt.ids"], get(blobs, "nt.rows")):
+        for oid, row in zip(ids, shaped("nt.rows", ids.size, None)):
             neighbors[int(oid)] = row[row >= 0].astype(np.int64)
         ntable = NeighborTable(neighbors=neighbors, last_refresh_step=get(blobs, "nt.step", int))
     rng = np.random.default_rng(cfg.seed)

@@ -16,7 +16,7 @@ from groupvec.data import (
     synth_generate_full,
 )
 from groupvec.metrics import EvalConfig, GroundTruth, mean_ap
-from groupvec.retrieval import embed_all, embed_query, query
+from groupvec.retrieval import embed_all, query
 from groupvec.train import TrainConfig, train
 
 EVAL_FRACTION = 0.25
@@ -90,16 +90,12 @@ def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries,
     eval_groups = ScaleGroups(train_cfg.groups, assignment, trained.boundaries, eval_table)
     store = embed_all(state.student, eval_table, model, eval_groups)
     gt = GroundTruth.from_table(eval_table)
-    results = []
-    for qid in queries:
-        rec = eval_table.get(qid)
-        q = embed_query(
-            state.student,
-            eval_groups,
-            model.base_features(np.array([qid]))[0],
-            rec.area,
-        )
-        results.append(query(store, q, topk=store.count, table=eval_table, query_id=qid))
+    # a held-out query is a store object: its embedding is its own row
+    row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
+    results = [
+        query(store, store.vectors[row_of[qid]], topk=store.count, table=eval_table, query_id=qid)
+        for qid in queries
+    ]
     return mean_ap(results, gt, EvalConfig(), "object")
 
 

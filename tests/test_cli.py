@@ -432,10 +432,15 @@ def tied_area_model(tmp_path):
 
 
 class TestTiedAreas:
-    """A query object is embedded by the head that embedded its store row."""
+    """A query object is ranked by its own store row, which the head of
+    its own group embedded."""
 
-    def test_every_eval_ranking_starts_with_its_query_at_zero(self, tmp_path, capsys):
-        d, ckpt, store = tied_area_model(tmp_path)
+    @pytest.mark.parametrize("model", ["tied", "trained"])
+    def test_every_eval_ranking_starts_with_its_query_at_zero(self, tmp_path, capsys, request, model):
+        if model == "tied":
+            d, ckpt, store = tied_area_model(tmp_path)
+        else:
+            d, ckpt, store = request.getfixturevalue("trained")
         rankings = tmp_path / "rankings.tsv"
         rc, _, err = run(
             capsys, "eval", "--checkpoint", ckpt, "--data", d, "--store", store,
@@ -443,7 +448,7 @@ class TestTiedAreas:
         )
         assert rc == 0, err
         lines = rankings.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 8
+        assert len(lines) == len(read_manifest(d / "manifest.tsv"))
         for line in lines:
             qid, ranked = line.split("\t")
             assert ranked.split(",")[0] == f"{qid}:0.0"
@@ -625,6 +630,7 @@ class TestEval:
             ("1\t2:0.5,99999999999999999999:0.7", "line 2: object id outside the int64 range"),
             ("1\t2:0.5,3:far", "line 2: malformed pair '3:far'"),
             ("555\t2:0.5", "line 2: unknown query id 555"),
+            ("0\t2:0.5,1:0.75", "line 2: query 0 appears twice"),
         ],
     )
     def test_report_names_file_and_line_of_bad_rankings(
@@ -778,6 +784,59 @@ class TestStoreWidth:
         assert not (tmp_path / "r.tsv").exists()
 
 
+class TestStoreRows:
+    """``eval`` and ``query`` rank a query object's own store row, so they
+    and ``report`` read the manifest and no features."""
+
+    def test_no_features_read(self, trained, tmp_path, capsys):
+        data_dir, ckpt, store = trained
+        (data_dir / "features.npy").unlink()
+        rankings = tmp_path / "rankings.tsv"
+        rc, _, err = run(
+            capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store,
+            "--rankings", rankings, "--report", tmp_path / "report.tsv", "--max-queries", 5,
+        )
+        assert rc == 0, err
+        oid, image_id, *bbox = (data_dir / "manifest.tsv").read_text().splitlines()[3].split("\t")[:6]
+        rc, out, err = run(
+            capsys, "query", "--checkpoint", ckpt, "--data", data_dir, "--store", store,
+            "--query-image", image_id, "--query-bbox", ",".join(bbox),
+        )
+        assert rc == 0, err
+        assert out.splitlines()[0].split("\t")[:3] == ["1", oid, "0.0"]
+        rc, _, err = run(capsys, "report", "--rankings", rankings, "--data", data_dir)
+        assert rc == 0, err
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_query_missing_from_store(self, tmp_path, capsys, command):
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        full = EmbeddingStore.load(store)
+        EmbeddingStore(full.vectors[:3], full.object_ids[:3]).save(store)
+        common = ["--checkpoint", ckpt, "--data", d, "--store", store]
+        if command == "eval":
+            argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+        else:
+            argv = ["query", *common, "--query-image", 1, "--query-bbox", "0,0,4,2"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {store}: object 3 is not in the store"]
+        assert not (tmp_path / "r.tsv").exists()
+
+
+# blob -> the blobs that give a tiny-model checkpoint that blob in a shape
+# its config (two wide, two clusters) or its neighbour ids do not allow
+WRONG_SHAPE = {
+    "opt.m": lambda b: {"opt.m": b["opt.m"][:-5]},
+    "opt.v": lambda b: {"opt.v": b["opt.v"][:-5]},
+    "bank.centroids": lambda b: {"bank.centroids": np.zeros((2, 3)), "bank.step": np.array(0.0)},
+    "nt.rows": lambda b: {
+        "nt.ids": np.arange(4.0), "nt.rows": np.zeros((3, 1)), "nt.step": np.array(0.0)
+    },
+}
+
+
 def _damage(path, case) -> str:
     """Rewrite a valid checkpoint with one field damaged; returns the field."""
     header, blobs = read_container(path)
@@ -789,6 +848,10 @@ def _damage(path, case) -> str:
         header["config"] = "{steps: 0}"
         write_container(path, header, blobs)
         return "'config'"
+    if case in WRONG_SHAPE:
+        blobs.update(WRONG_SHAPE[case](blobs))
+        write_container(path, header, blobs)
+        return f"{case} has shape"
     raw = bytearray(path.read_bytes())
     raw[16] = 0xFF  # the first byte of the header text
     path.write_bytes(bytes(raw))
@@ -796,7 +859,9 @@ def _damage(path, case) -> str:
 
 
 class TestDamagedCheckpoint:
-    @pytest.mark.parametrize("case", ["missing blob", "header not utf-8", "config not json"])
+    @pytest.mark.parametrize(
+        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE]
+    )
     def test_rejected_in_one_line_naming_file_and_field(self, tmp_path, capsys, case):
         d, ckpt, _ = tiny_model(tmp_path)
         capsys.readouterr()
