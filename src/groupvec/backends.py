@@ -1,17 +1,15 @@
 """Distance kernels in NumPy.
 
 The losses, the refresh (kNN table, k-means) and search compute their
-distances here.  Everything is float64 in, float64 out.
+distances here.  Everything is float64 in, float64 out.  Every exact
+squared distance is ``cross_sqdist`` or its triangle ``self_sqdist``; the
+Gram form gives distances only in ``assign_nearest``.
 """
 
 import numpy as np
 
 # Name of the kernel implementation, recorded in benchmark headers.
 BACKEND_NAME = "py"
-
-# Above this many multiply-adds ``cross_sqdist`` takes the Gram form for
-# speed: at 2000x100x512 the exact sums take 175 ms, one GEMM 13 ms.
-_BROADCAST_BUDGET = 2**24
 
 # The exact kernels run over blocks of x rows whose (rows, L, d) difference
 # holds about this many elements, in one reused buffer: a cache-sized
@@ -21,23 +19,6 @@ _BLOCK_ELEMS = 2**17
 
 
 def cross_sqdist(x, c):
-    """Squared Euclidean distances between rows of x (n,d) and c (L,d):
-    ``exact_sqdist`` up to the budget, the Gram form above it."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if exact_path(x.shape[0], c.shape[0], x.shape[1]):
-        return exact_sqdist(x, c)
-    return _gram_sqdist(x, row_sqnorms(x), c)
-
-
-def _gram_sqdist(x, x_sq, c):
-    """The Gram form of ``cross_sqdist``, given the squared norms of x."""
-    sq = x_sq[:, None] + row_sqnorms(c)[None, :]
-    sq -= 2.0 * (x @ c.T)
-    return np.maximum(sq, 0.0)
-
-
-def exact_sqdist(x, c):
     """Squared Euclidean distances between rows of x (n,d) and c (L,d), each
     the sum of one pair's squared differences at any size, so a row meets
     itself at exactly 0.0.  Blocks of x rows go through one reused
@@ -59,7 +40,7 @@ def exact_sqdist(x, c):
 
 
 def self_sqdist(x):
-    """``exact_sqdist(x, x)`` to the bit, at any size, with about half the work.
+    """``cross_sqdist(x, x)`` to the bit, at any size, with about half the work.
 
     Each block of rows ``[s, e)`` is measured only against the columns
     ``>= s`` and mirrored into the lower triangle: ``(a - b) ** 2 ==
@@ -79,20 +60,12 @@ def self_sqdist(x):
     return out
 
 
-def exact_path(n, m, d):
-    """Whether ``cross_sqdist`` of (n, d) against (m, d) rows takes
-    ``exact_sqdist`` rather than the Gram form."""
-    return n * m * max(d, 1) <= _BROADCAST_BUDGET
-
-
 def row_sqnorms(x):
-    """``(x * x).sum(axis=1)`` to the bit, squaring blocks of about
-    ``_BLOCK_ELEMS`` elements in one reused buffer instead of the whole
-    matrix.  Input that is not C-contiguous takes the one-shot form: its
-    square follows the input's layout, and with it the summation order."""
+    """The squared norm of each row, squaring blocks of about
+    ``_BLOCK_ELEMS`` elements in one reused C-contiguous buffer instead of
+    the whole matrix: the bits of ``(x * x).sum(axis=1)`` for a
+    C-contiguous x, and of its contiguous copy for any other layout."""
     x = np.asarray(x, dtype=np.float64)
-    if not x.flags.c_contiguous:
-        return (x * x).sum(axis=1)
     n, d = x.shape
     out = np.empty(n, dtype=np.float64)
     rows = max(1, _BLOCK_ELEMS // max(d, 1))
@@ -126,8 +99,8 @@ def pairwise_dist_grad(x, e, g):
 
 class KeptDistances:
     """What ``assign_nearest`` keeps between calls that assign the same
-    rows x: the (n, L) squared distances of the last call and, on the Gram
-    side, the squared norms of x."""
+    rows x: the (n, L) squared distances of the last call and the squared
+    norms of x."""
 
     def __init__(self):
         self.sq = None
@@ -138,44 +111,51 @@ def assign_nearest(x, c, kept=None, moved=None):
     """Index of the nearest row of c for each row of x, plus that squared
     distance. Ties go to the lowest centroid index.
 
+    The distances take the Gram form ``|x|^2 + |c|^2 - 2 x.c``, the only
+    place the program does: k-means assigns 2000 rows to 100 centroids at
+    512-d in one GEMM, about 14 times faster than the exact sums.
+
     A caller that assigns the same x to successive centroids passes one
     ``KeptDistances`` as ``kept``, which the first call fills.  A later
     call given ``moved``, the indices of the rows of c that changed since
     the last call, measures only those columns again and keeps the others.
-    ``exact_path`` picks the exact or the Gram form once for the whole
-    (n, L, d), so each column is the one ``cross_sqdist(x, c)`` gives.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    (n, d), m = x.shape, c.shape[0]
+    n, m = x.shape[0], c.shape[0]
     kept = KeptDistances() if kept is None else kept
-    exact = exact_path(n, m, d)
-    if not exact and kept.x_sq is None:
+    if kept.x_sq is None:
         kept.x_sq = row_sqnorms(x)
-    if kept.sq is None or moved is None or _whole_product(n, m, len(moved), exact):
-        kept.sq = exact_sqdist(x, c) if exact else _gram_sqdist(x, kept.x_sq, c)
+    if kept.sq is None or moved is None or _whole_product(n, m, len(moved)):
+        kept.sq = _gram_sqdist(x, kept.x_sq, c)
     else:
-        sub = c[moved]
-        kept.sq[:, moved] = exact_sqdist(x, sub) if exact else _gram_sqdist(x, kept.x_sq, sub)
+        kept.sq[:, moved] = _gram_sqdist(x, kept.x_sq, c[moved])
     sq = kept.sq
     labels = np.argmin(sq, axis=1)
     return labels.astype(np.int64), sq[np.arange(n), labels]
 
 
-def _whole_product(n, m, k, exact):
+def _gram_sqdist(x, x_sq, c):
+    """The Gram form of the squared distances, given the squared norms of x."""
+    sq = x_sq[:, None] + row_sqnorms(c)[None, :]
+    sq -= 2.0 * (x @ c.T)
+    return np.maximum(sq, 0.0)
+
+
+def _whole_product(n, m, k):
     """Whether ``assign_nearest`` measures all m columns rather than the k
     moved ones: when all moved, or where a partial product may not give
     the bits of the whole one.
 
-    Each exact entry is its own reduction, but a column of the Gram
-    product ``x @ c[moved].T`` equals the same column of ``x @ c.T`` only
-    where the BLAS computes both the same way.  Measured under OpenBLAS
-    0.3.31 with one thread, over n = 400-2000 rows, d = 64-512 and every
-    k: bit-equal for every k >= 2 with k n > 1200 and L <= 192, e.g. at
-    (n, d, L) = (2000, 512, 100).  Not bit-equal at k = 1 (NumPy's GEMV
-    path); at k = 2 for (500 | 600, 512, 100) and k = 2-4 for
-    (300, 300, 200), all with k n <= 1200 (OpenBLAS's small-matrix
-    kernel); and at L > 192: k = 193-199 for (300, 300, 200) and
-    (2000, 64, 200), k > 192 for L = 256, and many k for L = 193 and 300.
-    Those take the whole product."""
-    return k == m or not exact and (k < 2 or k * n <= 1200 or m > 192)
+    A column of the Gram product ``x @ c[moved].T`` equals the same column
+    of ``x @ c.T`` only where the BLAS computes both the same way.
+    Measured under OpenBLAS 0.3.31 with one thread, over n = 400-2000
+    rows, d = 64-512 and every k: bit-equal for every k >= 2 with
+    k n > 1200 and L <= 192, e.g. at (n, d, L) = (2000, 512, 100).  Not
+    bit-equal at k = 1 (NumPy's GEMV path); at k = 2 for
+    (500 | 600, 512, 100) and k = 2-4 for (300, 300, 200), all with
+    k n <= 1200 (OpenBLAS's small-matrix kernel); and at L > 192:
+    k = 193-199 for (300, 300, 200) and (2000, 64, 200), k > 192 for
+    L = 256, and many k for L = 193 and 300.  Those take the whole
+    product."""
+    return k == m or k < 2 or k * n <= 1200 or m > 192

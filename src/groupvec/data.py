@@ -247,6 +247,10 @@ class SynthConfig:
     objects_per_image: int = 12
 
     def __post_init__(self):
+        for name in ("zipf_exponent", "area_log_mean", "area_log_sd",
+                     "intra_class_sd", "scale_noise_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_classes < 1:
             raise ValueError("n_classes must be >= 1")
         if self.feature_dim < 1:

@@ -8,6 +8,7 @@ embeddings; the distance kernels come from ``backends``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,8 +36,8 @@ class LossConfig:
     def __post_init__(self):
         for name in ("sigma", "delta", "tau", "epsilon_floor"):
             object.__setattr__(self, name, float(getattr(self, name)))
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def _relative_cached(f: np.ndarray):

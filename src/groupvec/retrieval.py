@@ -6,7 +6,7 @@ them as float32.  Search is exact and reads that array: ``rank``
 computes the distance to every row and orders the rows by (distance,
 object id), so rankings are deterministic and a query equal to a stored
 row comes back at distance exactly 0.0.  The distances are
-``backends.exact_sqdist``'s per-row sums, taken over blocks of rows
+``backends.cross_sqdist``'s per-pair sums, taken over blocks of rows
 through one cache-sized buffer (256 rows at 512-d) with the same bits as
 one pass over the whole store, at any store size.  ``rank`` returns
 arrays for whole-gallery work such as ``groupvec eval``, which searches
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import exact_sqdist
+from .backends import cross_sqdist
 from .checkpoint import atomic_write, read_exact, read_head
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
@@ -136,7 +136,7 @@ def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # search runs at storage precision: a query equal to a stored row must
     # come back at distance exactly zero, so round it to the same grid
     q = q.astype(np.float32).astype(np.float64)
-    dist = exact_sqdist(store.vectors, q[None, :]).ravel()
+    dist = cross_sqdist(store.vectors, q[None, :]).ravel()
     np.sqrt(dist, out=dist)
     return np.lexsort((store.object_ids, dist)), dist
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import KeptDistances, assign_nearest, exact_sqdist, row_sqnorms
+from .backends import KeptDistances, assign_nearest, cross_sqdist, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
 
@@ -53,10 +53,10 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
 
     Only the rows whose lower ``_gram_bounds`` to a new centre do not exceed
     their current minimum can lower it, so only those are measured with
-    ``exact_sqdist``: the minima are those of measuring every row, to the
+    ``cross_sqdist``: the minima are those of measuring every row, to the
     bit.  Every row is measured when a screened value is not finite."""
     chosen = [int(rng.integers(f.shape[0]))]
-    mind = exact_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
     sq = row_sqnorms(f)
     while len(chosen) < n_clusters:
         # ties go to the lowest index via argmax on the raw array
@@ -64,7 +64,7 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
         chosen.append(nxt)
         bounds = _gram_bounds(f, sq, f[nxt], sq[nxt])
         rows = slice(None) if bounds is None else np.flatnonzero(bounds[0] <= mind)
-        mind[rows] = np.minimum(mind[rows], exact_sqdist(f[rows], f[nxt][None, :]).ravel())
+        mind[rows] = np.minimum(mind[rows], cross_sqdist(f[rows], f[nxt][None, :]).ravel())
     return f[np.array(chosen)].copy()
 
 
@@ -161,8 +161,8 @@ def knn_table(
     Self is excluded; exact distance ties break toward the smaller object
     id.  Each object gets min(k_neighbors, group size - 1) neighbors.
 
-    Distances are the per-row sums ``((f[j] - f[i]) ** 2).sum()``.  A group
-    is first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
+    Distances are ``backends.cross_sqdist``'s per-pair sums.  A group is
+    first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
     whose rounding error has a proven bound (the slack); only rows within
     the slack of the k-th screened distance are measured exactly, so the
     table equals a full sort of (distance, id).
@@ -181,7 +181,7 @@ def knn_table(
         ids = object_ids[rows]
         take = min(k_neighbors, rows.size - 1)
         for local, cand in enumerate(_knn_candidates(sub, take)):
-            d2 = ((sub[cand] - sub[local]) ** 2).sum(axis=1)
+            d2 = cross_sqdist(sub[cand], sub[local][None, :]).ravel()
             order = np.lexsort((ids[cand], d2))[:take]
             neighbors[int(ids[local])] = ids[cand[order]]
     return NeighborTable(neighbors=neighbors, last_refresh_step=step)
@@ -225,8 +225,8 @@ def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y):
 
 def _gram_slack(total: np.ndarray, dim: int) -> np.ndarray:
     """Bound on the gap between a screened distance ``|x|^2 + |y|^2 - 2 x.y``
-    (``total = |x|^2 + |y|^2``, ``dim`` columns) and the exact per-row sum
-    ``((x - y) ** 2).sum()``; a row whose screened distance minus this
+    (``total = |x|^2 + |y|^2``, ``dim`` columns) and the exact sum
+    ``cross_sqdist`` gives; a row whose screened distance minus this
     slack exceeds a threshold has an exact distance above it."""
     # With unit roundoff u = eps/2, each squared norm and the dot product
     # is off by at most D u total (any summation order, fused or not), the

@@ -48,6 +48,8 @@ class TrainConfig:
         # checkpoint header and its hash do not depend on how it was given
         for name in ("lr", "weight_decay", "ema_momentum"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         for name in ("batch", "groups", "clusters", "knn", "refresh_period",

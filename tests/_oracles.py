@@ -2,7 +2,11 @@
 
 Everything here is written as plain loops over rows, or as the plain
 expression form that the library's fused code replaces, independent of the
-library's vectorized kernels, so agreement is meaningful.
+library's vectorized kernels, so agreement is meaningful.  The oracles of
+the screened and incremental sampler (``knn_rows``,
+``farthest_point_loop``, ``lloyd_full``) measure with the library's own
+distance kernels instead: they check the screen and the bookkeeping, not
+a second sum.
 """
 
 import logging
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupvec.backends import assign_nearest, exact_sqdist
+from groupvec.backends import assign_nearest, cross_sqdist
 from groupvec.losses import (
     _centroid_sim_fwd,
     _ckd_with_grads,
@@ -263,10 +267,15 @@ def knn_loops(f, object_ids, group_of, k_neighbors):
     return out
 
 
+def sqdist_rows(x, c):
+    """The exact squared distances one row of x at a time."""
+    return np.stack([np.einsum("jk,jk->j", row - c, row - c) for row in x])
+
+
 def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
     """Within-group kNN table measuring each row against its whole group:
-    one exact ``((sub - sub[i]) ** 2).sum(axis=1)`` and one lexsort of
-    (distance, id) per row.  Same signature and result as
+    one ``cross_sqdist`` of the group against the row and one lexsort of
+    (distance, id) per row, with no screen.  Same signature and result as
     ``sampling.knn_table``."""
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -282,7 +291,7 @@ def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
         ids = object_ids[rows]
         take = min(k_neighbors, rows.size - 1)
         for local, oid in enumerate(ids):
-            d2 = ((sub - sub[local]) ** 2).sum(axis=1)
+            d2 = cross_sqdist(sub, sub[local][None, :]).ravel()
             order = np.lexsort((ids, d2))
             picked = [int(ids[j]) for j in order if j != local][:take]
             neighbors[int(oid)] = np.array(picked, dtype=np.int64)
@@ -324,14 +333,14 @@ def adam_step_whole(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps
 
 def farthest_point_loop(f, n_clusters, rng):
     """Farthest-point seeding that measures every row against each new
-    centre with ``exact_sqdist``.  Same signature and result as
+    centre with ``cross_sqdist``.  Same signature and result as
     ``sampling._farthest_point_init``."""
     chosen = [int(rng.integers(f.shape[0]))]
-    mind = exact_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
     while len(chosen) < n_clusters:
         nxt = int(np.argmax(mind))
         chosen.append(nxt)
-        mind = np.minimum(mind, exact_sqdist(f, f[nxt][None, :]).ravel())
+        mind = np.minimum(mind, cross_sqdist(f, f[nxt][None, :]).ravel())
     return f[np.array(chosen)].copy()
 
 

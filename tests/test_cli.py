@@ -328,6 +328,49 @@ class TestTrain:
         assert "train.loss.sigma = 3.0" in err
 
 
+class TestNonFiniteValues:
+    """A NaN or infinite config value is refused before any work, in one
+    line naming its key, and nothing is written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["zipf_exponent", "area_log_mean", "area_log_sd", "intra_class_sd", "scale_noise_gain"]
+    )
+    def test_synth(self, tmp_path, capsys, key, value):
+        ini = write_ini(tmp_path / "bad.ini", {"synth": {**SYNTH_KW, key: value}})
+        out = tmp_path / "d"
+        out.mkdir()
+        rc, stdout, err = run(capsys, "synth", "--config", ini, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [f"error: {key} must be finite"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("train", "lr", "nan", "lr must be finite"),
+            ("train", "lr", "inf", "lr must be finite"),
+            ("train", "weight_decay", "nan", "weight_decay must be finite"),
+            ("train", "weight_decay", "inf", "weight_decay must be finite"),
+            ("train", "ema_momentum", "nan", "ema_momentum must be finite"),
+            ("loss", "sigma", "nan", "sigma must be positive and finite"),
+            ("loss", "delta", "inf", "delta must be positive and finite"),
+            ("loss", "tau", "inf", "tau must be positive and finite"),
+            ("loss", "epsilon_floor", "nan", "epsilon_floor must be positive and finite"),
+        ],
+    )
+    def test_train(self, tmp_path, data_dir, capsys, section, key, value, message):
+        sections = {"train": TRAIN_KW, "loss": LOSS_KW}
+        sections[section] = {**sections[section], key: value}
+        ini = write_ini(tmp_path / "bad.ini", sections)
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, stdout, err = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert list(out.iterdir()) == []
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize("column, value, message", [
         pytest.param(4, "x", "could not convert string to float: 'x'", id="float"),
@@ -668,8 +711,9 @@ def tiny_model(tmp_path):
 
 
 def _reading(what, d, ckpt, store, tmp_path) -> list:
-    """A command whose first read is of the checkpoint (``embed``) or the
-    store (``eval``)."""
+    """A command that reads the checkpoint first (``embed``), or the store
+    after a whole checkpoint (``eval``, whose store-width check reads the
+    checkpoint before the store)."""
     if what == "store":
         return ["eval", "--checkpoint", ckpt, "--data", d, "--store", store,
                 "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]

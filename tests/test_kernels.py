@@ -1,8 +1,9 @@
 """The distance kernels: gradients, tie-breaks, coincident rows and the
-switch from the exact broadcast path to the BLAS form.
+Gram form of k-means assignment.
 
 Tie cases are built from small integers, so the arithmetic is exact and
-rounding cannot decide the tie.
+rounding cannot decide the tie.  The blocked exact kernels are checked
+bit for bit in ``test_pykernels.py``.
 """
 
 import numpy as np
@@ -12,44 +13,42 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _recipe
-from _oracles import fd_grad
+from _oracles import fd_grad, sqdist_rows
 from groupvec import backends, losses, retrieval, sampling
 
 KERNELS = ("cross_sqdist", "pairwise_dist", "pairwise_dist_grad", "assign_nearest")
 
 
 def test_benchmark_contract():
-    # perfbench reads BACKEND_NAME and times the kernels where the losses
-    # and the sampler call them, so those modules must bind these objects.
+    # perfbench reads BACKEND_NAME and times the kernels where the losses,
+    # the sampler and search call them, so those modules must bind these
+    # objects.
     assert backends.BACKEND_NAME == "py"
     for name in KERNELS:
         assert callable(getattr(backends, name))
     callers = {
         losses: ("cross_sqdist", "pairwise_dist", "pairwise_dist_grad"),
-        sampling: ("assign_nearest", "exact_sqdist"),
-        retrieval: ("exact_sqdist",),
+        sampling: ("assign_nearest", "cross_sqdist"),
+        retrieval: ("cross_sqdist",),
     }
     for module, names in callers.items():
         for name in names:
             assert getattr(module, name) is getattr(backends, name)
-    # only cross_sqdist chooses by size between exact sums and the Gram
-    # form: seeding and search measure with exact_sqdist at any size
-    for module in (sampling, retrieval):
-        assert not hasattr(module, "cross_sqdist") and not hasattr(module, "exact_path")
     private = [n for n in vars(backends) if n.startswith("_") and not n.startswith("__")]
     assert [n for n in private if n in vars(retrieval)] == []
 
 
-def test_cross_sqdist_blas_path_matches_exact_sum():
+def test_assign_nearest_gram_form_matches_exact_sum():
     rng = np.random.default_rng(3)
     x, c = rng.normal(size=(1500, 48)), rng.normal(size=(300, 48))
     c[0] = x[0]
-    assert x.shape[0] * c.shape[0] * x.shape[1] > backends._BROADCAST_BUDGET
-    got = backends.cross_sqdist(x, c)
-    want = np.stack([np.einsum("jk,jk->j", row - c, row - c) for row in x])
-    assert got.shape == (1500, 300)
-    assert (got >= 0).all()
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-10)
+    kept = backends.KeptDistances()
+    labels, own = backends.assign_nearest(x, c, kept)
+    want = sqdist_rows(x, c)
+    assert kept.sq.shape == (1500, 300)
+    assert (kept.sq >= 0).all()
+    assert np.allclose(kept.sq, want, rtol=1e-12, atol=1e-10)
+    assert np.array_equal(own, kept.sq[np.arange(1500), labels])
 
 
 def test_pairwise_dist_diagonal_and_symmetry():
@@ -104,26 +103,29 @@ def _kept_equals_fresh(x, c, rng):
         c = c.copy()
         c[moved] = rng.normal(size=(k, c.shape[1]))
         labels, own = backends.assign_nearest(x, c, kept, moved)
-        want_labels, want_own = backends.assign_nearest(x, c)
-        assert np.array_equal(kept.sq, backends.cross_sqdist(x, c))
+        fresh = backends.KeptDistances()
+        want_labels, want_own = backends.assign_nearest(x, c, fresh)
+        assert np.array_equal(kept.sq, fresh.sq)
         assert np.array_equal(labels, want_labels) and np.array_equal(own, want_own)
 
 
+# a column subset of a BLAS product need not equal the same columns of the
+# whole product; these pin it for the build the record was made on
+
+
 def test_kept_matrix_equals_a_fresh_call_on_the_gram_side():
-    # a column subset of a BLAS product need not equal the same columns of
-    # the whole product; this pins it for the build the record was made on
     if reason := _recipe.other_build():
         pytest.skip(reason)
     rng = np.random.default_rng(12)
     x, c = rng.normal(size=(2000, 512)), rng.normal(size=(100, 512))
-    assert not backends.exact_path(2000, 100, 512)
     _kept_equals_fresh(x, c, rng)
 
 
-def test_kept_matrix_equals_a_fresh_call_on_the_exact_side():
+def test_kept_matrix_equals_a_fresh_call_on_small_inputs():
+    if reason := _recipe.other_build():
+        pytest.skip(reason)
     rng = np.random.default_rng(13)
     x, c = rng.normal(size=(300, 9)), rng.normal(size=(40, 9))
-    assert backends.exact_path(300, 40, 9)
     _kept_equals_fresh(x, c, rng)
 
 

@@ -1,15 +1,15 @@
 """Exactness of the NumPy kernels' blocked evaluation.
 
-``exact_sqdist`` (the exact path of ``cross_sqdist``) and the row norms of
-the Gram path work in cache-sized blocks, and ``self_sqdist`` measures
-only the upper triangle of its blocks.  Neither may change a single bit:
-each entry is compared with the whole-array expression or the kernel it
-replaces, below the budget and above it.
+``cross_sqdist`` and the row norms work in cache-sized blocks, and
+``self_sqdist`` measures only the upper triangle of its blocks.  Neither
+may change a single bit: each entry is compared with the whole-array
+expression or the kernel it replaces.
 """
 
 import numpy as np
 import pytest
 
+from _oracles import sqdist_rows
 from groupvec import backends
 
 
@@ -32,6 +32,17 @@ def test_cross_sqdist_blocks_equal_one_broadcast(n, m, d):
         assert got[0, 0] == 0.0
 
 
+def test_cross_sqdist_is_the_per_pair_sum():
+    # 1500 x 300 x 48 multiply-adds, with an offset that cancels most
+    # digits of the Gram form: every entry is still one pair's exact sum
+    rng = np.random.default_rng(3)
+    x, c = rng.normal(size=(1500, 48)) + 1e4, rng.normal(size=(300, 48)) + 1e4
+    c[0] = x[0]
+    got = backends.cross_sqdist(x, c)
+    assert np.array_equal(got.view(np.int64), sqdist_rows(x, c).view(np.int64))
+    assert got[0, 0] == 0.0
+
+
 @pytest.mark.parametrize(
     "n, d",
     # 2000 and 1000 rows are not multiples of the 256- and 436-row blocks
@@ -40,31 +51,25 @@ def test_cross_sqdist_blocks_equal_one_broadcast(n, m, d):
 def test_row_sqnorms_equal_one_square(n, d):
     rng = np.random.default_rng(n + d)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    # any layout gives the bits of its C-contiguous copy
     for arr in (x, np.asfortranarray(x), x[::2], x[:, ::2]):
-        want = (arr * arr).sum(axis=1)
+        copy = np.ascontiguousarray(arr)
+        want = (copy * copy).sum(axis=1)
         got = backends.row_sqnorms(arr)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _largest_exact_n(d):
-    n = 1
-    while backends.exact_path(n + 1, n + 1, d):
-        n += 1
-    return n
-
-
 @pytest.mark.parametrize(
     "n, d",
     # 30 rows at 512 and 1024 wide are a training step's blocks; 29, 30 and
-    # 31 rows are not multiples of the block's 8 or 4 rows; the last case is
-    # the largest n still on the exact path at 512 wide
+    # 31 rows are not multiples of the block's 8 or 4 rows; 181 rows at 512
+    # wide span many blocks
     [(30, 1), (30, 7), (30, 512), (30, 1024), (29, 512), (31, 1024), (5, 7),
-     (2, 1), (1, 512), (0, 3), (4, 0), (_largest_exact_n(512), 512)],
+     (2, 1), (1, 512), (0, 3), (4, 0), (181, 512)],
 )
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_self_sqdist_equals_cross_sqdist(n, d, offset):
-    assert backends.exact_path(n, n, d)
     rng = np.random.default_rng(n * 7 + d)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)) + offset
     if n >= 4:
@@ -78,28 +83,12 @@ def test_self_sqdist_equals_cross_sqdist(n, d, offset):
         assert got[n - 1, 0] == 0.0 and got[0, n - 1] == 0.0
 
 
-def _per_row_sums(x, c):
-    """The exact squared distances one row of x at a time."""
-    return np.stack([np.einsum("jk,jk->j", row - c, row - c) for row in x])
-
-
-def test_exact_sqdist_above_the_budget_is_the_per_pair_sum():
-    rng = np.random.default_rng(3)
-    x, c = rng.normal(size=(1500, 48)) + 1e4, rng.normal(size=(300, 48)) + 1e4
-    c[0] = x[0]
-    assert not backends.exact_path(1500, 300, 48)
-    got = backends.exact_sqdist(x, c)
-    assert np.array_equal(got.view(np.int64), _per_row_sums(x, c).view(np.int64))
-    assert got[0, 0] == 0.0
-
-
-def test_self_sqdist_above_the_budget_is_the_exact_sum():
-    n, d = _largest_exact_n(48) + 1, 48
-    assert not backends.exact_path(n, n, d)
+def test_self_sqdist_is_the_exact_sum():
+    n, d = 592, 48
     x = np.random.default_rng(5).normal(size=(n, d)) + 1e4
     x[n - 1] = x[0]
     got = backends.self_sqdist(x)
-    assert np.array_equal(got.view(np.int64), _per_row_sums(x, x).view(np.int64))
+    assert np.array_equal(got.view(np.int64), sqdist_rows(x, x).view(np.int64))
     assert np.array_equal(got, got.T)
     assert np.array_equal(np.diag(got), np.zeros(n))
     assert got[n - 1, 0] == 0.0

@@ -302,11 +302,11 @@ def test_store_holds_one_array_and_rank_reads_it(monkeypatch):
     assert [name for name in vars(store) if name != "object_ids"] == ["vectors"]
     seen = []
 
-    def exact_sqdist(x, c):
+    def cross_sqdist(x, c):
         seen.append(x)
-        return backends.exact_sqdist(x, c)
+        return backends.cross_sqdist(x, c)
 
-    monkeypatch.setattr(retrieval, "exact_sqdist", exact_sqdist)
+    monkeypatch.setattr(retrieval, "cross_sqdist", cross_sqdist)
     table = small_table([(i, 0, (0.0, 0.0, 1.0, 1.0)) for i in range(20)])
     for _ in range(2):
         query(store, rng.normal(size=4), topk=3, table=table)
