@@ -14,7 +14,9 @@ Layout (all integers little-endian):
 Writing the result of a read reproduces the file byte for byte.  A file
 cut short anywhere, or whose lengths point past its end, is rejected
 with "<path>: truncated checkpoint"; one whose header or a blob name is
-not UTF-8 is rejected naming the file too.
+not UTF-8 is rejected naming the file too.  ``read_header`` reads and
+checks the magic, the version and the header alone, so it does not see
+damage after them.
 """
 
 from __future__ import annotations
@@ -88,30 +90,44 @@ def read_head(fh, magic: bytes, version: int, path, what: str) -> None:
         raise ValueError(f"{path}: unsupported {what} version {got_version}")
 
 
-def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    def unpack(fmt: str):
-        return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path, "checkpoint"))
+def _unpack(fh, fmt: str, path):
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path, "checkpoint"))
 
-    def text(n: int, what: str) -> str:
-        try:
-            return read_exact(fh, n, path, "checkpoint").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: checkpoint {what} is not UTF-8: {exc}") from None
 
+def _text(fh, n: int, path, what: str) -> str:
+    try:
+        return read_exact(fh, n, path, "checkpoint").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: checkpoint {what} is not UTF-8: {exc}") from None
+
+
+def _read_header(fh, path) -> dict[str, str]:
+    """The magic, the version and the header text, from the start of the file."""
+    read_head(fh, MAGIC, VERSION, path, "checkpoint")
+    (hlen,) = _unpack(fh, "<Q", path)
+    header: dict[str, str] = {}
+    for line in _text(fh, hlen, path, "header").splitlines():
+        key, _, value = line.partition(" = ")
+        header[key] = value
+    return header
+
+
+def read_header(path) -> dict[str, str]:
+    """The header of the file at ``path``, read without its blobs."""
     with open(path, "rb") as fh:
-        read_head(fh, MAGIC, VERSION, path, "checkpoint")
-        (hlen,) = unpack("<Q")
-        header: dict[str, str] = {}
-        for line in text(hlen, "header").splitlines():
-            key, _, value = line.partition(" = ")
-            header[key] = value
-        (nblobs,) = unpack("<I")
+        return _read_header(fh, path)
+
+
+def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        (nblobs,) = _unpack(fh, "<I", path)
         blobs: dict[str, np.ndarray] = {}
         for _ in range(nblobs):
-            (nlen,) = unpack("<H")
-            name = text(nlen, "blob name")
-            (ndim,) = unpack("<B")
-            shape = unpack(f"<{ndim}Q")
+            (nlen,) = _unpack(fh, "<H", path)
+            name = _text(fh, nlen, path, "blob name")
+            (ndim,) = _unpack(fh, "<B", path)
+            shape = _unpack(fh, f"<{ndim}Q", path)
             raw = read_exact(fh, math.prod(shape) * 8, path, "checkpoint")
             blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         return header, blobs

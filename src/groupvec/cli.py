@@ -10,9 +10,15 @@ can be reproduced from its log.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import operator
+import os
+import pickle
+import signal
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
@@ -29,9 +35,9 @@ from .data import (
     write_manifest,
 )
 from .losses import LossConfig
-from .metrics import EvalConfig, GroundTruth, ScaleReport
+from .metrics import IOU_GATES, EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, query, rank
-from .train import TrainConfig, load_checkpoint, train
+from .train import TrainConfig, load_checkpoint, load_config, train
 
 
 def _key_types(cls, skip: tuple[str, ...] = ()) -> dict:
@@ -227,7 +233,7 @@ def _parse_bbox(text: str):
 def _load_store(path, checkpoint, query_ids: list[int]):
     """The store at ``path``, whose width must be the checkpoint's, and
     the row of each query id in it: a query's embedding is its own row."""
-    width = load_checkpoint(checkpoint).cfg.student_dim
+    width = load_config(checkpoint).student_dim
     store = EmbeddingStore.load(path)
     if store.dim != width:
         raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {width}")
@@ -284,7 +290,107 @@ def _ranking_pairs(prefixes: np.ndarray, dist: np.ndarray) -> str:
     return ",".join(map(operator.add, prefixes.tolist(), map(repr, dist.tolist())))
 
 
+def _part_bounds(n: int) -> list[int]:
+    """Bounds of the contiguous parts of ``n`` queries: one part for each
+    CPU this process may run on, at most one per query, and one part where
+    processes cannot fork."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, n)) if hasattr(os, "fork") else 1
+    return [n * i // parts for i in range(parts + 1)]
+
+
+class _Child:
+    """One part ranked in a forked child: its lines go to an anonymous
+    temporary file, and its scored queries, or its error text, come back
+    pickled through a pipe."""
+
+    def __init__(self, rank_part, queries, rows):
+        self.lines = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            self.lines.close()
+            raise
+        if self.pid == 0:
+            self._run(rank_part, queries, rows, r, w)
+        os.close(w)
+        self.pipe = os.fdopen(r, "rb")
+
+    def _run(self, rank_part, queries, rows, r: int, w: int) -> typing.NoReturn:
+        """The child's whole life: it writes no output, stdout or stderr, and
+        leaves with ``os._exit``, so no handler or buffer of the parent runs."""
+        status = 1
+        try:
+            os.close(r)
+            try:
+                scored = rank_part(self.lines, queries, rows)
+                self.lines.flush()
+                message = (None, scored)
+            except Exception as exc:
+                message = (str(exc), None)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(message, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def result(self) -> list:
+        """The child's scored queries, once it has exited; its error text,
+        or its exit status when it sent nothing, as a ValueError."""
+        data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            error, scored = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            raise ValueError(
+                f"a ranking process exited with status {code} and sent no result"
+            ) from None
+        if error is not None:
+            raise ValueError(error)
+        return scored
+
+    def close(self) -> None:
+        """Kill the child if it still runs, reap it, and free its files."""
+        if self.pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+        self.lines.close()
+
+
+def _rank_part(store, prefixes, gallery_rows, scores, fh, queries, rows) -> list:
+    """Rank each query's own store row, write its ranking line to ``fh`` and
+    score it into ``scores``; returns the scored queries."""
+    for qid, row in zip(queries, rows):
+        order, dist = rank(store, store.vectors[row])
+        fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
+        scores.add(qid, gallery_rows[order])
+    return scores.scored
+
+
 def cmd_eval(args) -> int:
+    """Rank the store for each query object, write ``rankings.tsv`` and
+    score every ranking into ``report.tsv`` and stdout.
+
+    The queries are split into contiguous parts, one per CPU
+    (``_part_bounds``).  The parent ranks the first part into the
+    rankings file; each other part runs the same ``_rank_part`` in a child
+    forked before any output is opened, and the parent appends the child's
+    lines and scores in part order, so the outputs have the bytes of one
+    process ranking every query.  Every process streams one ranking at a
+    time, so memory does not grow with queries x gallery.  A child's error
+    is the parent's, and every child is reaped on every path.
+    """
     topk, max_queries = _eval_settings(args)
     table = _load_table(args.data)
     gt = _ground_truth(table)
@@ -294,15 +400,28 @@ def cmd_eval(args) -> int:
         "eval",
         {"checkpoint": args.checkpoint, "queries": len(queries), "topk": topk},
     )
-    # streamed per query, so memory does not grow with queries x gallery
+    # built here, once, and not again in each child
     gallery_rows = gt.rows_of(store.object_ids)
-    prefixes = _id_prefixes(store.object_ids)
+    for threshold in IOU_GATES.values():
+        gt.pass_table(threshold)
     scores = ScaleReport(gt, EvalConfig(topk=topk))
-    with _text_out(args.rankings) as fh:
-        for qid, row in zip(queries, rows):
-            order, dist = rank(store, store.vectors[row])
-            fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
-            scores.add(qid, gallery_rows[order])
+    rank_part = functools.partial(
+        _rank_part, store, _id_prefixes(store.object_ids), gallery_rows, scores
+    )
+    bounds = _part_bounds(len(queries))
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_Child(rank_part, queries[lo:hi], rows[lo:hi]))
+        with _text_out(args.rankings) as fh:
+            rank_part(fh, queries[: bounds[1]], rows[: bounds[1]])
+            for child in children:
+                scores.scored += child.result()
+                child.lines.seek(0)
+                fh.writelines(child.lines)
+    finally:
+        for child in children:
+            child.close()
     report = scores.text()
     with _text_out(args.report) as fh:
         fh.write(report)

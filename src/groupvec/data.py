@@ -259,8 +259,9 @@ class SynthConfig:
             raise ValueError("n_objects must be >= 1")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be > 0")
-        if self.scale_noise_gain < 0:
-            raise ValueError("scale_noise_gain must be >= 0")
+        for name in ("area_log_sd", "intra_class_sd", "scale_noise_gain"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.objects_per_image < 1:
             raise ValueError("objects_per_image must be >= 1")
 

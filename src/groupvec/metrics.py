@@ -329,17 +329,19 @@ class ScaleReport:
 
     ``add`` scores a query at both levels and keeps only the scores, so
     memory grows with the number of queries, not with their rankings.
+    ``scored`` holds them in the order added; scores made by another
+    report of the same ground truth and config can be appended to it.
     """
 
     def __init__(self, gt: GroundTruth, cfg: EvalConfig):
         self.gt = gt
         self.cfg = cfg
-        self._scored = []  # (query id, ((top, ap) per level))
+        self.scored = []  # (query id, ((top, ap) per level))
 
     def add(self, query_id, rows) -> None:
         """Score a query from the gallery rows of its ranking, best first."""
         scores = tuple(score_rows(self.gt, self.cfg, level, query_id, rows) for level in LEVELS)
-        self._scored.append((query_id, scores))
+        self.scored.append((query_id, scores))
 
     def text(self) -> str:
         """Tab separated, percentages to 2 decimals; the queries excluded
@@ -347,7 +349,7 @@ class ScaleReport:
         rows = ["\t".join(REPORT_COLUMNS)]
         excluded = {level: [] for level in LEVELS}
         for lo, hi in SCALE_BINS:
-            subset = [(q, s) for q, s in self._scored if lo <= self.gt.query_area[q] < hi]
+            subset = [(q, s) for q, s in self.scored if lo <= self.gt.query_area[q] < hi]
             if not subset:
                 rows.append("\t".join([_bin_label(lo, hi), "0", "", "", "", ""]))
                 continue

@@ -11,7 +11,10 @@ through one cache-sized buffer (256 rows at 512-d) with the same bits as
 one pass over the whole store, at any store size.  ``rank`` returns
 arrays for whole-gallery work such as ``groupvec eval``, which searches
 with each query object's own store row; ``query`` joins only its top k
-to the object table as ``Hit`` objects.
+to the object table as ``Hit`` objects.  ``rank`` keeps no state between
+calls, so ``groupvec eval`` runs it in one process per part of its
+queries (one part per CPU), each on the same store shared copy-on-write,
+and every query's ranking has the same bits in whichever process it ran.
 """
 
 from __future__ import annotations

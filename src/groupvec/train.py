@@ -9,6 +9,7 @@ bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import read_container, write_container
+from .checkpoint import read_container, read_header, write_container
 from .data import ObjectTable, ScaleGroups, partition_by_scale
 from .encoder import EncoderConfig, Params, StudentNet, TeacherNet, ema_update
 from .losses import LossConfig, total_loss
@@ -304,19 +305,31 @@ def _config_from_json(text: str) -> TrainConfig:
     return TrainConfig(**raw)
 
 
-def load_checkpoint(path) -> TrainState:
-    header, blobs = read_container(path)
+def _field(path, source: dict, key: str, parse=lambda value: value):
+    """``parse(source[key])``, or a ValueError naming the file and the key."""
+    if key not in source:
+        raise ValueError(f"{path}: checkpoint has no {key!r}")
+    try:
+        return parse(source[key])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: bad {key!r} in checkpoint: {exc}") from None
+
+
+def _header_config(path, header: dict[str, str]) -> TrainConfig:
     if header.get("format") != "train-state":
         raise ValueError(f"{path}: not a training checkpoint")
+    return _field(path, header, "config", _config_from_json)
 
-    def get(source: dict, key: str, parse=lambda value: value):
-        """``parse(source[key])``, or a ValueError naming the file and the key."""
-        if key not in source:
-            raise ValueError(f"{path}: checkpoint has no {key!r}")
-        try:
-            return parse(source[key])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: bad {key!r} in checkpoint: {exc}") from None
+
+def load_config(path) -> TrainConfig:
+    """The config of the checkpoint at ``path``, read from its header alone."""
+    return _header_config(path, read_header(path))
+
+
+def load_checkpoint(path) -> TrainState:
+    header, blobs = read_container(path)
+    cfg = _header_config(path, header)
+    get = functools.partial(_field, path)
 
     def shaped(name: str, *dims):
         """Blob ``name``, of shape ``dims``; a dim of None matches any length."""
@@ -326,7 +339,6 @@ def load_checkpoint(path) -> TrainState:
             raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
         return blob
 
-    cfg = get(header, "config", _config_from_json)
     enc = cfg.encoder_config(get(header, "feature_dim", int))
     student, teacher = StudentNet(enc), TeacherNet(enc)
     # the file's arrays are fresh and owned, so they become the state as

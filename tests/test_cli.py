@@ -7,6 +7,7 @@ what a shell user would see.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -73,6 +74,37 @@ def run(capsys, *args):
     rc = main([str(a) for a in args])
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+def split_eval(monkeypatch, cpus, can_fork=True) -> list:
+    """Make ``eval`` see ``cpus`` CPUs, and so split its queries into that
+    many parts; at one CPU, or without ``os.fork``, any fork fails the test.
+    Returns the list that collects the pid of each child forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked, fork = [], os.fork
+
+    def recorded_fork():
+        if cpus == 1:
+            pytest.fail("a one-part eval forked")
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    if can_fork:
+        monkeypatch.setattr(os, "fork", recorded_fork)
+    else:
+        monkeypatch.delattr(os, "fork")
+    return forked
+
+
+def assert_reaped(forked, parts):
+    """One child was forked for each part but the first, and every one of
+    them is reaped."""
+    assert len(forked) == parts - 1
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture()
@@ -329,8 +361,8 @@ class TestTrain:
 
 
 class TestNonFiniteValues:
-    """A NaN or infinite config value is refused before any work, in one
-    line naming its key, and nothing is written."""
+    """A NaN or infinite config value, or a negative spread, is refused
+    before any work, in one line naming its key, and nothing is written."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -343,6 +375,16 @@ class TestNonFiniteValues:
         rc, stdout, err = run(capsys, "synth", "--config", ini, "--out", out)
         assert (rc, stdout) == (1, "")
         assert err.splitlines() == [f"error: {key} must be finite"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["area_log_sd", "intra_class_sd", "scale_noise_gain"])
+    def test_synth_negative_spread(self, tmp_path, capsys, key):
+        ini = write_ini(tmp_path / "bad.ini", {"synth": {**SYNTH_KW, key: -1.0}})
+        out = tmp_path / "d"
+        out.mkdir()
+        rc, stdout, err = run(capsys, "synth", "--config", ini, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [f"error: {key} must be >= 0"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -621,7 +663,9 @@ class TestEval:
         assert out2.read_bytes() == report.read_bytes()
 
 
-    def test_eval_bytes_equal_per_query_search_and_scale_report(self, trained, tmp_path, capsys):
+    def test_eval_bytes_equal_per_query_search_and_scale_report(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
         data_dir, ckpt, store_path = trained
         state = load_checkpoint(ckpt)
         table, _, provider = _load_data(data_dir)
@@ -643,13 +687,19 @@ class TestEval:
 
             rankings, report = tmp_path / "rankings.tsv", tmp_path / "report.tsv"
             extra = [] if topk is None else ["--topk", topk]
-            rc, _, _ = run(
-                capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store_path,
-                "--rankings", rankings, "--report", report, *extra,
-            )
-            assert rc == 0
-            assert rankings.read_bytes() == "".join(lines).encode("utf-8")
-            assert report.read_bytes() == want_report.encode("utf-8")
+            # in process, in two and three parts, and where fork does not exist
+            for cpus, can_fork in ((1, True), (2, True), (3, True), (3, False)):
+                forked = split_eval(monkeypatch, cpus, can_fork)
+                rc, out, _ = run(
+                    capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store_path,
+                    "--rankings", rankings, "--report", report, *extra,
+                )
+                monkeypatch.undo()
+                assert_reaped(forked, cpus if can_fork else 1)
+                assert rc == 0
+                assert rankings.read_bytes() == "".join(lines).encode("utf-8")
+                assert report.read_bytes() == want_report.encode("utf-8")
+                assert out == want_report
 
     def test_ranking_pairs_write_the_bytes_of_the_format_string(self):
         # zero, distances that repr writes in exponent form, and ids at
@@ -711,9 +761,9 @@ def tiny_model(tmp_path):
 
 
 def _reading(what, d, ckpt, store, tmp_path) -> list:
-    """A command that reads the checkpoint first (``embed``), or the store
-    after a whole checkpoint (``eval``, whose store-width check reads the
-    checkpoint before the store)."""
+    """A command that reads the whole checkpoint first (``embed``), or the
+    store after a checkpoint's header (``eval``, whose store-width check
+    reads the header before the store)."""
     if what == "store":
         return ["eval", "--checkpoint", ckpt, "--data", d, "--store", store,
                 "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
@@ -826,6 +876,23 @@ class TestStoreWidth:
             f"error: {store}: store width {width} does not match checkpoint width 2"
         ]
         assert not (tmp_path / "r.tsv").exists()
+
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_width_read_from_the_header_alone(self, tmp_path, capsys, command):
+        """The checkpoint's blobs are not read: one cut after its header serves."""
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        ckpt.write_bytes(raw[: 16 + hlen])
+        common = ["--checkpoint", ckpt, "--data", d, "--store", store]
+        if command == "eval":
+            argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+        else:
+            argv = ["query", *common, "--query-image", 1, "--query-bbox", "0,0,4,2"]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, err
 
 
 class TestStoreRows:
@@ -985,20 +1052,52 @@ class TestAtomicOutputs:
         assert run(capsys, *argv)[0] == 0
         before = [rankings.read_bytes(), report.read_bytes()]
 
-        add, calls = ScaleReport.add, []
+        add = ScaleReport.add
+        # in process, in the parent's part (queries 0-5 of two) and in the child's
+        for cpus, failing in ((1, 8), (2, 2), (2, 8)):
 
-        def add_then_fail(self, qid, rows):
-            calls.append(qid)
-            if len(calls) == 6:
-                raise ValueError("scoring failed")
+            def add_then_fail(self, qid, rows):
+                if qid == failing:
+                    raise ValueError("scoring failed")
+                return add(self, qid, rows)
+
+            forked = split_eval(monkeypatch, cpus)
+            monkeypatch.setattr(ScaleReport, "add", add_then_fail)
+            rc, out, err = run(capsys, *argv)
+            monkeypatch.undo()
+            assert_reaped(forked, cpus)
+            assert rc == 1
+            assert out == ""
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                "error: scoring failed"
+            ]
+            assert [rankings.read_bytes(), report.read_bytes()] == before
+            assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+
+    def test_child_that_dies_keeps_previous_outputs(self, trained, tmp_path, capsys, monkeypatch):
+        data_dir, ckpt, store = trained
+        rankings, report = tmp_path / "rankings.tsv", tmp_path / "report.tsv"
+        argv = ["eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store,
+                "--rankings", rankings, "--report", report, "--max-queries", 12]
+        assert run(capsys, *argv)[0] == 0
+        before = [rankings.read_bytes(), report.read_bytes()]
+
+        add, parent = ScaleReport.add, os.getpid()
+
+        def add_or_die(self, qid, rows):
+            # query 6 is in the middle of the second of three parts
+            if qid == 6 and os.getpid() != parent:
+                os._exit(3)
             return add(self, qid, rows)
 
-        monkeypatch.setattr(ScaleReport, "add", add_then_fail)
+        forked = split_eval(monkeypatch, 3)
+        monkeypatch.setattr(ScaleReport, "add", add_or_die)
         rc, out, err = run(capsys, *argv)
+        assert_reaped(forked, 3)
         assert rc == 1
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: scoring failed"
+            "error: a ranking process exited with status 3 and sent no result"
         ]
         assert [rankings.read_bytes(), report.read_bytes()] == before
         assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
