@@ -14,9 +14,6 @@ import contextlib
 import dataclasses
 import functools
 import operator
-import os
-import pickle
-import signal
 import sys
 import tempfile
 import typing
@@ -34,6 +31,7 @@ from .data import (
     synth_generate,
     write_manifest,
 )
+from .forked import Child, usable_cpus
 from .losses import LossConfig
 from .metrics import IOU_GATES, EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, query, rank
@@ -292,89 +290,20 @@ def _ranking_pairs(prefixes: np.ndarray, dist: np.ndarray) -> str:
 
 def _part_bounds(n: int) -> list[int]:
     """Bounds of the contiguous parts of ``n`` queries: one part for each
-    CPU this process may run on, at most one per query, and one part where
-    processes cannot fork."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, n)) if hasattr(os, "fork") else 1
+    CPU this process may fork for, and at most one per query."""
+    parts = max(1, min(usable_cpus(), n))
     return [n * i // parts for i in range(parts + 1)]
-
-
-class _Child:
-    """One part ranked in a forked child: its lines go to an anonymous
-    temporary file, and its scored queries, or its error text, come back
-    pickled through a pipe."""
-
-    def __init__(self, rank_part, queries, rows):
-        self.lines = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-        r, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(r)
-            os.close(w)
-            self.lines.close()
-            raise
-        if self.pid == 0:
-            self._run(rank_part, queries, rows, r, w)
-        os.close(w)
-        self.pipe = os.fdopen(r, "rb")
-
-    def _run(self, rank_part, queries, rows, r: int, w: int) -> typing.NoReturn:
-        """The child's whole life: it writes no output, stdout or stderr, and
-        leaves with ``os._exit``, so no handler or buffer of the parent runs."""
-        status = 1
-        try:
-            os.close(r)
-            try:
-                scored = rank_part(self.lines, queries, rows)
-                self.lines.flush()
-                message = (None, scored)
-            except Exception as exc:
-                message = (str(exc), None)
-            with os.fdopen(w, "wb") as pipe:
-                pickle.dump(message, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def result(self) -> list:
-        """The child's scored queries, once it has exited; its error text,
-        or its exit status when it sent nothing, as a ValueError."""
-        data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        try:
-            error, scored = pickle.loads(data)
-        except Exception:
-            code = os.waitstatus_to_exitcode(status)
-            raise ValueError(
-                f"a ranking process exited with status {code} and sent no result"
-            ) from None
-        if error is not None:
-            raise ValueError(error)
-        return scored
-
-    def close(self) -> None:
-        """Kill the child if it still runs, reap it, and free its files."""
-        if self.pid is not None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.pipe.close()
-        self.lines.close()
 
 
 def _rank_part(store, prefixes, gallery_rows, scores, fh, queries, rows) -> list:
     """Rank each query's own store row, write its ranking line to ``fh`` and
-    score it into ``scores``; returns the scored queries."""
+    score it into ``scores``; returns the scored queries, with every line
+    flushed to ``fh``'s file, where a child's parent reads them."""
     for qid, row in zip(queries, rows):
         order, dist = rank(store, store.vectors[row])
         fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
         scores.add(qid, gallery_rows[order])
+    fh.flush()
     return scores.scored
 
 
@@ -385,7 +314,8 @@ def cmd_eval(args) -> int:
     The queries are split into contiguous parts, one per CPU
     (``_part_bounds``).  The parent ranks the first part into the
     rankings file; each other part runs the same ``_rank_part`` in a child
-    forked before any output is opened, and the parent appends the child's
+    forked (``forked.Child``) before any output is opened, which writes its
+    lines to a temporary file of its own; the parent appends the child's
     lines and scores in part order, so the outputs have the bytes of one
     process ranking every query.  Every process streams one ranking at a
     time, so memory does not grow with queries x gallery.  A child's error
@@ -409,19 +339,21 @@ def cmd_eval(args) -> int:
         _rank_part, store, _id_prefixes(store.object_ids), gallery_rows, scores
     )
     bounds = _part_bounds(len(queries))
-    children = []
-    try:
+    with contextlib.ExitStack() as stack:
+        children = []
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_Child(rank_part, queries[lo:hi], rows[lo:hi]))
+            # the child's lines, in a file it shares with the parent
+            lines = stack.enter_context(
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+            )
+            work = functools.partial(rank_part, lines, queries[lo:hi], rows[lo:hi])
+            children.append((lines, stack.enter_context(Child("a ranking process", work))))
         with _text_out(args.rankings) as fh:
             rank_part(fh, queries[: bounds[1]], rows[: bounds[1]])
-            for child in children:
+            for lines, child in children:
                 scores.scored += child.result()
-                child.lines.seek(0)
-                fh.writelines(child.lines)
-    finally:
-        for child in children:
-            child.close()
+                lines.seek(0)
+                fh.writelines(lines)
     report = scores.text()
     with _text_out(args.report) as fh:
         fh.write(report)

@@ -34,6 +34,11 @@ class ObjectRecord:
 
     def __post_init__(self):
         x, y, w, h = self.bbox
+        if not all(map(math.isfinite, (x, y, w, h, self.area))):
+            raise ValueError(
+                f"object {self.object_id}: bbox x, y, w, h and area must be finite, "
+                f"got {self.bbox} and area {self.area}"
+            )
         if not (w > 0 and h > 0):
             raise ValueError(
                 f"object {self.object_id}: bbox width/height must be positive, got w={w} h={h}"

@@ -200,12 +200,6 @@ class TeacherNet:
         _check_group(self.cfg, group)
         return _affine(self.params, f"head_h{group}", _trunk(self.params, self.cfg, x)[0][-1])
 
-    def wide_and_head(self, x: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(embed(x), head_embed(x, group))`` from a single trunk pass."""
-        _check_group(self.cfg, group)
-        a = _trunk(self.params, self.cfg, x)[0][-1]
-        return _affine(self.params, "proj", a), _affine(self.params, f"head_h{group}", a)
-
 
 # Elements per block of the EMA pass, as in the optimizer's update.
 _EMA_BLOCK = 2**15

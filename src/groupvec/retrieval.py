@@ -13,8 +13,10 @@ arrays for whole-gallery work such as ``groupvec eval``, which searches
 with each query object's own store row; ``query`` joins only its top k
 to the object table as ``Hit`` objects.  ``rank`` keeps no state between
 calls, so ``groupvec eval`` runs it in one process per part of its
-queries (one part per CPU), each on the same store shared copy-on-write,
-and every query's ranking has the same bits in whichever process it ran.
+queries (one part per CPU; the children are ``forked.Child``, as is the
+neighbor-table child of a training refresh), each on the same store
+shared copy-on-write, and every query's ranking has the same bits in
+whichever process it ran.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import numpy as np
 from .backends import KeptDistances, assign_nearest, cross_sqdist, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
+from .forked import Child, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,31 @@ class NeighborTable:
 
     def of(self, object_id: int) -> np.ndarray:
         return self.neighbors[object_id]
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, rows)``: the object ids in ascending order and, in row i,
+        the neighbors of ``ids[i]``, padded with -1 to the longest list."""
+        ids = np.array(sorted(self.neighbors), dtype=np.int64)
+        width = max((len(v) for v in self.neighbors.values()), default=0)
+        rows = np.full((ids.size, width), -1, dtype=np.int64)
+        for i, oid in enumerate(ids.tolist()):
+            nb = self.neighbors[oid]
+            rows[i, : len(nb)] = nb
+        return ids, rows
+
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, rows: np.ndarray, step: int) -> "NeighborTable":
+        """The table whose ``to_arrays`` are ``ids`` and ``rows`` (either
+        as int64 or as float64), refreshed at ``step``: each id's
+        neighbors are the non-negative entries of its row, in order."""
+        keep = rows >= 0
+        flat = rows[keep].astype(np.int64)
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        neighbors = {
+            oid: flat[start:end]
+            for oid, start, end in zip(np.asarray(ids, dtype=np.int64).tolist(), [0] + ends, ends)
+        }
+        return cls(neighbors=neighbors, last_refresh_step=step)
 
 
 @dataclass(frozen=True)
@@ -305,22 +331,48 @@ def refresh(
     per-group head embeddings of every object, so they live in the same
     space as the similarity rows computed during training.
 
-    Both embeddings of a group come from one teacher trunk pass, and the
-    kNN table is built one group at a time, so no wide embedding of the
-    whole corpus is ever held.
+    The two halves read only the base features and the teacher, so where
+    the process may run on two or more CPUs the neighbor table is built in
+    one forked child (``forked.Child``) while this process builds the
+    bank, and comes back as ``NeighborTable.to_arrays``; on one CPU, or
+    without ``os.fork``, this process builds both, the table first.  Both
+    ways run the same two functions on the same inputs, so the results
+    have the same bits.
     """
     if step % period != 0:
         return bank, table
-    tbl = groups.table
-    feats = provider.base_features(tbl.ids)
-    head = np.empty((len(tbl.ids), teacher.cfg.student_dim), dtype=np.float64)
+    feats = provider.base_features(groups.table.ids)
+    args = (teacher, groups, feats)
+    if usable_cpus() < 2:
+        table = _neighbor_table(*args, k_neighbors, step)
+        return _centroid_bank(*args, n_clusters, kmeans_iters, seed + step, step), table
+    with Child(
+        "a neighbor-table process", lambda: _neighbor_table(*args, k_neighbors, step).to_arrays()
+    ) as child:
+        bank = _centroid_bank(*args, n_clusters, kmeans_iters, seed + step, step)
+        return bank, NeighborTable.from_arrays(*child.result(), step)
+
+
+def _neighbor_table(teacher, groups, feats, k_neighbors, step) -> NeighborTable:
+    """The within-group kNN table of the teacher's wide embedding, built one
+    group at a time: neighbors never cross a group, so no wide embedding
+    of the whole corpus is ever held."""
     neighbors: dict[int, np.ndarray] = {}
     for m in range(groups.k):
         rows = groups.group_rows(m)
         if rows.size:
-            wide, head[rows] = teacher.wide_and_head(feats[rows], m)
-            group_table = knn_table(wide, tbl.ids[rows], np.full(rows.size, m), k_neighbors, step)
-            neighbors.update(group_table.neighbors)
-    table = NeighborTable(neighbors=neighbors, last_refresh_step=step)
-    bank = kmeans(head, n_clusters, kmeans_iters, seed=seed + step, step=step)
-    return bank, table
+            wide = teacher.embed(feats[rows])
+            ids = groups.table.ids[rows]
+            neighbors.update(knn_table(wide, ids, np.full(rows.size, m), k_neighbors, step).neighbors)
+    return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+
+
+def _centroid_bank(teacher, groups, feats, n_clusters, iters, seed, step) -> CentroidBank:
+    """k-means of every object's teacher head embedding, each through its
+    own group's head."""
+    head = np.empty((feats.shape[0], teacher.cfg.student_dim), dtype=np.float64)
+    for m in range(groups.k):
+        rows = groups.group_rows(m)
+        if rows.size:
+            head[rows] = teacher.head_embed(feats[rows], m)
+    return kmeans(head, n_clusters, iters, seed=seed, step=step)

@@ -287,14 +287,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         blobs["bank.centroids"] = state.bank.centroids
         blobs["bank.step"] = np.array(float(state.bank.last_refresh_step))
     if state.ntable is not None:
-        ids = np.array(sorted(state.ntable.neighbors), dtype=np.float64)
-        width = max((len(v) for v in state.ntable.neighbors.values()), default=0)
-        rows = np.full((ids.size, width), -1.0)
-        for i, oid in enumerate(ids):
-            nb = state.ntable.neighbors[int(oid)]
-            rows[i, : len(nb)] = nb
-        blobs["nt.ids"] = ids
-        blobs["nt.rows"] = rows
+        blobs["nt.ids"], blobs["nt.rows"] = state.ntable.to_arrays()
         blobs["nt.step"] = np.array(float(state.ntable.last_refresh_step))
     write_container(path, header, blobs)
 
@@ -356,10 +349,9 @@ def load_checkpoint(path) -> TrainState:
         )
     if "nt.ids" in blobs:
         ids = shaped("nt.ids", None)
-        neighbors = {}
-        for oid, row in zip(ids, shaped("nt.rows", ids.size, None)):
-            neighbors[int(oid)] = row[row >= 0].astype(np.int64)
-        ntable = NeighborTable(neighbors=neighbors, last_refresh_step=get(blobs, "nt.step", int))
+        ntable = NeighborTable.from_arrays(
+            ids, shaped("nt.rows", ids.size, None), get(blobs, "nt.step", int)
+        )
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = get(header, "rng_state", json.loads)
     return TrainState(

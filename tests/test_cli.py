@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from _cpus import assert_reaped, force_cpus
 from _oracles import eval_scores_loops
 from groupvec.checkpoint import read_container, write_container
 from groupvec.cli import SECTION_TYPES, _id_prefixes, _ranking_pairs, main, read_config
@@ -74,37 +75,6 @@ def run(capsys, *args):
     rc = main([str(a) for a in args])
     out, err = capsys.readouterr()
     return rc, out, err
-
-
-def split_eval(monkeypatch, cpus, can_fork=True) -> list:
-    """Make ``eval`` see ``cpus`` CPUs, and so split its queries into that
-    many parts; at one CPU, or without ``os.fork``, any fork fails the test.
-    Returns the list that collects the pid of each child forked."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forked, fork = [], os.fork
-
-    def recorded_fork():
-        if cpus == 1:
-            pytest.fail("a one-part eval forked")
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    if can_fork:
-        monkeypatch.setattr(os, "fork", recorded_fork)
-    else:
-        monkeypatch.delattr(os, "fork")
-    return forked
-
-
-def assert_reaped(forked, parts):
-    """One child was forked for each part but the first, and every one of
-    them is reaped."""
-    assert len(forked) == parts - 1
-    for pid in forked:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture()
@@ -308,6 +278,24 @@ class TestTrain:
         assert rc == 1
         assert err.splitlines()[-1] == "error: non-finite gradient; optimizer step aborted"
 
+    def test_singleton_group_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # five objects in four groups: group 1 holds one, and its error
+        # comes from the refresh's neighbor-table child
+        ini = write_ini(tmp_path / "five.ini", {
+            "synth": {**SYNTH_KW, "n_objects": 5}, "train": {**TRAIN_KW, "groups": 4},
+        })
+        d, out = tmp_path / "data", tmp_path / "run"
+        d.mkdir()
+        out.mkdir()
+        assert run(capsys, "synth", "--config", ini, "--out", d)[0] == 0
+        forked = force_cpus(monkeypatch, 2)
+        rc, stdout, err = run(capsys, "train", "--config", ini, "--data", d, "--out", out)
+        assert_reaped(forked, 1)
+        assert (rc, stdout) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: group 1 has fewer than two members"
+        ]
+
     def test_bad_checkpoint_magic(self, tmp_path, ini, data_dir, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXX" + b"\0" * 32)
@@ -418,6 +406,12 @@ class TestManifestErrors:
         pytest.param(4, "x", "could not convert string to float: 'x'", id="float"),
         pytest.param(1, "7.5", "invalid literal for int() with base 10: '7.5'", id="int"),
         pytest.param(4, "0", "bbox width/height must be positive, got w=0.0 h=", id="record"),
+        pytest.param(2, "nan", "bbox x, y, w, h and area must be finite, got (nan, ", id="x-nan"),
+        pytest.param(3, "inf", "bbox x, y, w, h and area must be finite, got (", id="y-inf"),
+        pytest.param(4, "inf", "bbox x, y, w, h and area must be finite, got (", id="w-inf"),
+        # a finite width whose product with the height overflows
+        pytest.param(4, "1e307", "must be finite, got (469.6946567503081, 2284.7129457248943, "
+                     "1e+307, 23.6511015199412) and area inf", id="area-overflow"),
     ])
     def test_bad_field_names_file_and_line(self, tmp_path, ini, data_dir, capsys, column, value, message):
         manifest = data_dir / "manifest.tsv"
@@ -689,13 +683,13 @@ class TestEval:
             extra = [] if topk is None else ["--topk", topk]
             # in process, in two and three parts, and where fork does not exist
             for cpus, can_fork in ((1, True), (2, True), (3, True), (3, False)):
-                forked = split_eval(monkeypatch, cpus, can_fork)
+                forked = force_cpus(monkeypatch, cpus, can_fork)
                 rc, out, _ = run(
                     capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store_path,
                     "--rankings", rankings, "--report", report, *extra,
                 )
                 monkeypatch.undo()
-                assert_reaped(forked, cpus if can_fork else 1)
+                assert_reaped(forked, cpus - 1 if can_fork else 0)
                 assert rc == 0
                 assert rankings.read_bytes() == "".join(lines).encode("utf-8")
                 assert report.read_bytes() == want_report.encode("utf-8")
@@ -1061,11 +1055,11 @@ class TestAtomicOutputs:
                     raise ValueError("scoring failed")
                 return add(self, qid, rows)
 
-            forked = split_eval(monkeypatch, cpus)
+            forked = force_cpus(monkeypatch, cpus)
             monkeypatch.setattr(ScaleReport, "add", add_then_fail)
             rc, out, err = run(capsys, *argv)
             monkeypatch.undo()
-            assert_reaped(forked, cpus)
+            assert_reaped(forked, cpus - 1)
             assert rc == 1
             assert out == ""
             assert [line for line in err.splitlines() if line.startswith("error:")] == [
@@ -1090,10 +1084,10 @@ class TestAtomicOutputs:
                 os._exit(3)
             return add(self, qid, rows)
 
-        forked = split_eval(monkeypatch, 3)
+        forked = force_cpus(monkeypatch, 3)
         monkeypatch.setattr(ScaleReport, "add", add_or_die)
         rc, out, err = run(capsys, *argv)
-        assert_reaped(forked, 3)
+        assert_reaped(forked, 2)
         assert rc == 1
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [

@@ -63,6 +63,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="annotation 9"):
             ingest_coco(p)
 
+    def test_infinite_bbox_rejected(self, tmp_path):
+        # json reads the Infinity that json.dumps writes
+        doc = coco_doc([{"id": 9, "image_id": 1, "bbox": [0, 0, math.inf, 10], "category_id": 0}])
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="object 9: bbox x, y, w, h and area must be finite"):
+            ingest_coco(p)
+
     def test_missing_key_names_entry(self, tmp_path):
         doc = coco_doc([{"id": 1, "image_id": 1, "category_id": 0}])
         p = tmp_path / "ann.json"

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import groupvec.backends as backends_mod
 import groupvec.sampling as sampling_mod
 import _recipe
+from _cpus import assert_reaped, force_cpus
 from _oracles import (
     cluster_sums_add_at,
     farthest_point_loop,
@@ -471,6 +473,11 @@ class TestAssembleBatch:
             assemble_batch(groups, t, np.random.default_rng(0), budget=24, n_shared=6)
 
 
+# (CPUs seen, whether os.fork exists): one process, one child, one child
+# with a CPU to spare, and one process where processes cannot fork
+CPU_CASES = ((1, True), (2, True), (3, True), (3, False))
+
+
 class TestRefresh:
     def setup_method(self):
         self.table, feats, self.model, self.groups = small_corpus(n_objects=80)
@@ -519,38 +526,90 @@ class TestRefresh:
         assert np.array_equal(a[0].centroids, b[0].centroids)
         assert all(np.array_equal(a[1].of(i), b[1].of(i)) for i in self.table.ids)
 
-    def test_equals_whole_corpus_composition(self):
-        got_bank, got_nt = refresh(
-            5, 5, self.teacher, self.groups, self.model, None, None,
-            n_clusters=10, k_neighbors=3, kmeans_iters=8, seed=2,
-        )
+    def test_equals_whole_corpus_composition(self, monkeypatch):
         want_bank, want_nt = refresh_composition(
             5, self.teacher, self.groups, self.model, n_clusters=10,
             k_neighbors=3, kmeans_iters=8, seed=2,
         )
+        for cpus, can_fork in CPU_CASES:
+            forked = force_cpus(monkeypatch, cpus, can_fork)
+            got_bank, got_nt = refresh(
+                5, 5, self.teacher, self.groups, self.model, None, None,
+                n_clusters=10, k_neighbors=3, kmeans_iters=8, seed=2,
+            )
+            monkeypatch.undo()
+            assert_reaped(forked, 1 if cpus > 1 and can_fork else 0)
+            assert same_bits(got_bank.centroids, want_bank.centroids)
+            assert got_bank.last_refresh_step == got_nt.last_refresh_step == 5
+            assert set(got_nt.neighbors) == set(want_nt.neighbors)
+            for oid, nb in want_nt.neighbors.items():
+                assert got_nt.of(oid).dtype == np.int64
+                assert np.array_equal(got_nt.of(oid), nb)
+
+    def _refresh(self):
+        return refresh(
+            0, 1, self.teacher, self.groups, self.model, None, None,
+            n_clusters=10, k_neighbors=3,
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_singleton_group_error_in_either_process(self, monkeypatch, cpus):
+        # five objects in four groups: group 1 holds one
+        _, _, model, groups = small_corpus(n_objects=5)
+        forked = force_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^group 1 has fewer than two members$"):
+            refresh(0, 1, self.teacher, groups, model, None, None, n_clusters=2)
+        assert_reaped(forked, cpus - 1)
+
+    def test_child_that_dies_gives_its_status(self, monkeypatch):
+        knn, parent = sampling_mod.knn_table, os.getpid()
+
+        def knn_or_die(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return knn(*args)
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sampling_mod, "knn_table", knn_or_die)
+        with pytest.raises(
+            ValueError, match="^a neighbor-table process exited with status 3 and sent no result$"
+        ):
+            self._refresh()
+        assert_reaped(forked, 1)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_error_in_kmeans_reaps_the_child(self, monkeypatch, error):
+        def failing_kmeans(*args, **kwargs):
+            raise error("k-means failed")
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sampling_mod, "kmeans", failing_kmeans)
+        with pytest.raises(error, match="k-means failed"):
+            self._refresh()
+        assert_reaped(forked, 1)
+
+
+def test_default_refresh_equals_whole_corpus_composition(corpus_2000, monkeypatch):
+    teacher, groups, model = corpus_2000
+    want_bank, want_nt = refresh_composition(0, teacher, groups, model)
+    for cpus, can_fork in CPU_CASES:
+        forked = force_cpus(monkeypatch, cpus, can_fork)
+        got_bank, got_nt = refresh(0, 1000, teacher, groups, model, None, None)
+        monkeypatch.undo()
+        assert_reaped(forked, 1 if cpus > 1 and can_fork else 0)
         assert same_bits(got_bank.centroids, want_bank.centroids)
-        assert got_bank.last_refresh_step == got_nt.last_refresh_step == 5
-        assert set(got_nt.neighbors) == set(want_nt.neighbors)
         for oid, nb in want_nt.neighbors.items():
-            assert got_nt.of(oid).dtype == np.int64
             assert np.array_equal(got_nt.of(oid), nb)
 
 
-def test_default_refresh_equals_whole_corpus_composition(corpus_2000):
-    teacher, groups, model = corpus_2000
-    got_bank, got_nt = refresh(0, 1000, teacher, groups, model, None, None)
-    want_bank, want_nt = refresh_composition(0, teacher, groups, model)
-    assert same_bits(got_bank.centroids, want_bank.centroids)
-    for oid, nb in want_nt.neighbors.items():
-        assert np.array_equal(got_nt.of(oid), nb)
-
-
-def test_default_refresh_traced_memory_peak(corpus_2000):
+def test_default_refresh_traced_memory_peak(corpus_2000, monkeypatch):
     # Traced allocation peak above baseline of a default refresh on 2000
     # objects: 37.4 MB when the wide embedding of the whole corpus (16 MB)
     # fed one kNN call, 30.7 MB with one teacher pass and one kNN call per
-    # group.
+    # group.  tracemalloc sees this process only, so the refresh runs both
+    # halves here, on one CPU.
     teacher, groups, model = corpus_2000
+    force_cpus(monkeypatch, 1)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

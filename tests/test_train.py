@@ -5,6 +5,7 @@ import pytest
 
 import groupvec.sampling as sampling_mod
 import groupvec.train as train_mod
+from _cpus import assert_reaped, force_cpus
 from _oracles import adam_step_expr, adam_step_whole, knn_rows
 from groupvec.checkpoint import read_container, write_container
 from groupvec.data import SynthConfig, synth_generate_full
@@ -253,7 +254,9 @@ class TestTrainLoop:
 
     def test_loss_log_unchanged_by_screened_knn(self, monkeypatch):
         # four refreshes in 12 steps: the Gram-screened table and the
-        # per-row full sort must give the same batches and the same log
+        # per-row full sort must give the same batches and the same log.
+        # On one CPU every knn_table call runs here, where it is recorded.
+        force_cpus(monkeypatch, 1)
         table, model = tiny_corpus(n=120)
         cfg = tiny_cfg(steps=12, refresh_period=3, knn=4, teacher_dim=64)
         _, screened = train(cfg, table, model)
@@ -269,6 +272,29 @@ class TestTrainLoop:
         assert calls == [s for s in (0, 3, 6, 9) for _ in range(cfg.groups)]
         assert len(screened) == 12
         assert screened == per_row
+
+    def test_failed_refresh_child_keeps_checkpoint_and_log(self, tmp_path, monkeypatch):
+        # refreshes at steps 0 and 3; the child of the second one fails
+        # while lines 0-2 wait in the log's buffer
+        table, model = tiny_corpus()
+        cfg = tiny_cfg()
+        _, lines = train(cfg, table, model)
+        knn = sampling_mod.knn_table
+
+        def knn_failing_at_step_3(*args):
+            if args[-1] == 3:
+                raise ValueError("kNN failed")
+            return knn(*args)
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sampling_mod, "knn_table", knn_failing_at_step_3)
+        path, log_path = tmp_path / "abort.msg1", tmp_path / "loss.log"
+        with open(log_path, "w", encoding="utf-8", newline="\n") as log:
+            with pytest.raises(ValueError, match="^kNN failed$"):
+                train(cfg, table, model, log=log, checkpoint_path=path)
+        assert_reaped(forked, 2)
+        assert load_checkpoint(path).step == 3
+        assert log_path.read_text(encoding="utf-8").splitlines() == lines[:3]
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         table, model = tiny_corpus()
