@@ -10,8 +10,10 @@ scheme is meant to handle.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ from .checkpoint import atomic_write
 CANVAS = 4096.0  # virtual image side for synthesized boxes
 _MIN_SIDE = 1.0
 _MAX_SIDE = 4000.0
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,15 @@ class ObjectRecord:
     feature_ref: int = -1
 
     def __post_init__(self):
+        for name in ("object_id", "image_id", "class_id"):
+            value = getattr(self, name)
+            if value is None and name == "class_id":
+                continue
+            if (type(value) is bool or not isinstance(value, (int, np.integer))
+                    or not _INT64_MIN <= value <= _INT64_MAX):
+                raise ValueError(f"object {self.object_id!r}: {name} must be an int64 integer, got {value!r}")
+        if self.object_id < 0:  # a checkpoint's neighbour rows pad with -1
+            raise ValueError(f"object {self.object_id}: object_id must not be negative")
         x, y, w, h = self.bbox
         if not all(map(math.isfinite, (x, y, w, h, self.area))):
             raise ValueError(
@@ -128,40 +140,39 @@ def ingest_coco(annotation_file) -> ObjectTable:
 
     image_ids = set()
     for i, img in enumerate(doc["images"]):
-        if not isinstance(img, dict) or "id" not in img:
-            raise ValueError(f"images[{i}]: missing 'id'")
+        if not isinstance(img, dict) or type(img.get("id")) is not int:
+            raise ValueError(f"images[{i}]: needs an integer 'id', got {img!r}")
         image_ids.add(img["id"])
 
-    anns = []
+    records = []
     for i, ann in enumerate(doc["annotations"]):
+        where = f"annotations[{i}]"
         if not isinstance(ann, dict):
-            raise ValueError(f"annotations[{i}]: not an object")
+            raise ValueError(f"{where}: not an object")
         for key in ("id", "image_id", "bbox", "category_id"):
             if key not in ann:
-                raise ValueError(f"annotations[{i}]: missing '{key}'")
-        bbox = ann["bbox"]
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise ValueError(f"annotation {ann['id']}: bbox must be [x, y, w, h]")
-        if ann["image_id"] not in image_ids:
-            raise ValueError(f"annotation {ann['id']}: unknown image_id {ann['image_id']}")
-        x, y, w, h = (float(v) for v in bbox)
+                raise ValueError(f"{where}: missing '{key}'")
+            if key != "bbox" and type(ann[key]) is not int:
+                raise ValueError(f"{where}: {key} must be an integer, got {ann[key]!r}")
+        aid, img_id, bbox = ann["id"], ann["image_id"], ann["bbox"]
+        if not (isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_number, bbox))):
+            raise ValueError(f"{where}: bbox must be four numbers [x, y, w, h], got {bbox!r}")
+        if img_id not in image_ids:
+            raise ValueError(f"annotation {aid}: unknown image_id {img_id}")
+        x, y, w, h = map(float, bbox)
         if not (w > 0 and h > 0):
-            raise ValueError(f"annotation {ann['id']}: bbox width/height must be positive")
-        anns.append((ann["id"], ann["image_id"], (x, y, w, h), ann["category_id"]))
+            raise ValueError(f"annotation {aid}: bbox width/height must be positive")
+        try:
+            records.append(ObjectRecord(aid, img_id, (x, y, w, h), w * h, ann["category_id"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    records.sort(key=lambda r: r.object_id)
+    return ObjectTable([dataclasses.replace(r, feature_ref=row) for row, r in enumerate(records)])
 
-    anns.sort(key=lambda a: a[0])
-    records = [
-        ObjectRecord(
-            object_id=aid,
-            image_id=img_id,
-            bbox=bbox,
-            area=bbox[2] * bbox[3],
-            class_id=cls,
-            feature_ref=row,
-        )
-        for row, (aid, img_id, bbox, cls) in enumerate(anns)
-    ]
-    return ObjectTable(records)
+
+def _is_number(value) -> bool:
+    """A JSON float, or a JSON integer that converts to one."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
 class ScaleGroups:
@@ -192,9 +203,6 @@ class ScaleGroups:
 
     def group_sizes(self) -> list[int]:
         return [len(r) for r in self._rows]
-
-    def median_area(self, m: int) -> float:
-        return float(np.median(self._table.areas[self._rows[m]]))
 
     def route_area(self, area: float) -> int:
         """Group whose area range contains the given area (clamped at the ends)."""
@@ -278,7 +286,9 @@ class SyntheticFeatureModel:
     Each object keeps its frozen unit-noise draws, so requesting the
     object's own area reproduces its base feature bit-exactly, and other
     areas only change the scale-noise magnitude. Training code only sees
-    this through ``features_at`` and never touches the class data inside.
+    this through ``base_features``, each object at its own area, and never
+    touches the class data inside; ``features_at`` is kept for the tests
+    and for ``perfbench``, which traces it by name.
     """
 
     means: np.ndarray
@@ -320,9 +330,6 @@ class BaseFeatureProvider:
         if bad:
             raise ValueError(f"object {bad[0]} has feature_ref outside the feature matrix")
         return cls(features, refs)
-
-    def features_at(self, object_ids: np.ndarray, area: float) -> np.ndarray:
-        return self.base_features(object_ids)
 
     def base_features(self, object_ids: np.ndarray) -> np.ndarray:
         rows = [self.row_of[int(i)] for i in np.asarray(object_ids)]

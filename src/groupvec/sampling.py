@@ -52,15 +52,14 @@ class NeighborTable:
 
     @classmethod
     def from_arrays(cls, ids: np.ndarray, rows: np.ndarray, step: int) -> "NeighborTable":
-        """The table whose ``to_arrays`` are ``ids`` and ``rows`` (either
-        as int64 or as float64), refreshed at ``step``: each id's
-        neighbors are the non-negative entries of its row, in order."""
+        """The table whose ``to_arrays`` are the int64 ``ids`` and ``rows``,
+        refreshed at ``step``: each id's neighbors are the non-negative
+        entries of its row, in order."""
         keep = rows >= 0
-        flat = rows[keep].astype(np.int64)
+        flat = rows[keep]
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         neighbors = {
-            oid: flat[start:end]
-            for oid, start, end in zip(np.asarray(ids, dtype=np.int64).tolist(), [0] + ends, ends)
+            oid: flat[start:end] for oid, start, end in zip(ids.tolist(), [0] + ends, ends)
         }
         return cls(neighbors=neighbors, last_refresh_step=step)
 

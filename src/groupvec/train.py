@@ -189,13 +189,9 @@ def init_state(cfg: TrainConfig, feature_dim: int) -> TrainState:
     )
 
 
-def _block_features(provider, batch: Batch, groups: ScaleGroups, m: int) -> np.ndarray:
-    """Group rows at their own scale, shared rows at the group's median area."""
-    own = provider.base_features(batch.group_ids[m])
-    if batch.shared_ids.size == 0:
-        return own
-    shared = provider.features_at(batch.shared_ids, groups.median_area(m))
-    return np.vstack([own, shared])
+def _block_features(provider, batch: Batch, m: int) -> np.ndarray:
+    """Group m's rows, then the shared rows, each with its own features."""
+    return provider.base_features(np.concatenate([batch.group_ids[m], batch.shared_ids]))
 
 
 def train_step(state: TrainState, groups: ScaleGroups, provider) -> str:
@@ -209,7 +205,7 @@ def train_step(state: TrainState, groups: ScaleGroups, provider) -> str:
     batch = assemble_batch(groups, state.ntable, state.rng, cfg.batch, cfg.n_shared)
     f_h, f_l, f_t, caches = [], [], [], []
     for m in range(cfg.groups):
-        feats = _block_features(provider, batch, groups, m)
+        feats = _block_features(provider, batch, m)
         f_t.append(state.teacher.embed(feats))
         h, l, cache = state.student.forward_cached(feats, m)
         f_h.append(h)
@@ -229,6 +225,16 @@ def train_step(state: TrainState, groups: ScaleGroups, provider) -> str:
     )
     state.step += 1
     return line
+
+
+def _check_same_objects(ntable: NeighborTable, table: ObjectTable) -> None:
+    """A resumed run's corpus must hold the objects of its checkpoint's
+    neighbour table; a ValueError names the smallest id one of them lacks."""
+    saved = set(ntable.neighbors)
+    if only := saved ^ set(table.ids.tolist()):
+        oid = min(only)
+        where = "checkpoint, not in the corpus" if oid in saved else "corpus, not in the checkpoint"
+        raise ValueError(f"resume corpus differs from checkpoint: object {oid} is in the {where}")
 
 
 def train(
@@ -252,6 +258,8 @@ def train(
         state = init_state(cfg, provider.base_features(table.ids[:1]).shape[1])
     elif diff := _config_diff(state.cfg, cfg):
         raise ValueError("resume config differs from checkpoint config: " + "; ".join(diff))
+    elif state.ntable is not None:
+        _check_same_objects(state.ntable, table)
     lines: list[str] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -324,13 +332,20 @@ def load_checkpoint(path) -> TrainState:
     cfg = _header_config(path, header)
     get = functools.partial(_field, path)
 
-    def shaped(name: str, *dims):
-        """Blob ``name``, of shape ``dims``; a dim of None matches any length."""
+    def shaped(name: str, *dims, low=None):
+        """Blob ``name``, of shape ``dims``; a dim of None matches any length.
+        With ``low``, the blob as int64, each entry an integer >= ``low``."""
         blob = get(blobs, name)
         need = tuple(n if d is None else d for n, d in zip(blob.shape, dims))
         if blob.ndim != len(dims) or blob.shape != need:
             raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
-        return blob
+        if low is None:
+            return blob
+        ok = (blob == np.trunc(blob)) & (low <= blob) & (blob < 2.0**63)  # NaN fails both bounds
+        if not ok.all():
+            bad = float(blob[~ok].flat[0])
+            raise ValueError(f"{path}: bad {name!r} in checkpoint: {bad!r} is not an integer in [{low}, 2**63)")
+        return blob.astype(np.int64)
 
     enc = cfg.encoder_config(get(header, "feature_dim", int))
     student, teacher = StudentNet(enc), TeacherNet(enc)
@@ -340,17 +355,17 @@ def load_checkpoint(path) -> TrainState:
         params.data = shaped(name, params.data.size)
     size = student.params.data.size
     opt = OptState(0)
-    opt.m, opt.v, opt.t = shaped("opt.m", size), shaped("opt.v", size), get(blobs, "opt.t", int)
+    opt.m, opt.v, opt.t = shaped("opt.m", size), shaped("opt.v", size), int(shaped("opt.t", low=0))
     bank = ntable = None
     if "bank.centroids" in blobs:
         bank = CentroidBank(
             centroids=shaped("bank.centroids", cfg.clusters, cfg.student_dim),
-            last_refresh_step=get(blobs, "bank.step", int),
+            last_refresh_step=int(shaped("bank.step", low=0)),
         )
     if "nt.ids" in blobs:
-        ids = shaped("nt.ids", None)
+        ids = shaped("nt.ids", None, low=0)
         ntable = NeighborTable.from_arrays(
-            ids, shaped("nt.rows", ids.size, None), get(blobs, "nt.step", int)
+            ids, shaped("nt.rows", ids.size, None, low=-1), int(shaped("nt.step", low=0))
         )
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = get(header, "rng_state", json.loads)

@@ -9,11 +9,12 @@ configuration with shared objects coupling the groups.
 import numpy as np
 
 from groupvec.data import (
+    BaseFeatureProvider,
     ObjectTable,
     ScaleGroups,
     SynthConfig,
     partition_by_scale,
-    synth_generate_full,
+    synth_generate,
 )
 from groupvec.metrics import EvalConfig, GroundTruth, mean_ap
 from groupvec.retrieval import embed_all, query
@@ -29,28 +30,16 @@ N_QUERIES = 80
 FEATURE_SCALE = 0.15
 
 
-class ScaledProvider:
-    """Feature provider proxy that rescales every vector by one factor."""
-
-    def __init__(self, base, scale: float):
-        self.base = base
-        self.scale = float(scale)
-
-    def features_at(self, object_ids, area):
-        return self.scale * self.base.features_at(object_ids, area)
-
-    def base_features(self, object_ids):
-        return self.scale * self.base.base_features(object_ids)
-
-
 def split_corpus(synth_cfg: SynthConfig, eval_fraction=EVAL_FRACTION, n_queries=N_QUERIES,
                  feature_scale=FEATURE_SCALE):
     """Deterministic train/eval object split plus a query draw.
 
     The split depends only on the corpus seed, so every arm trains and
-    is scored on identical data.  Queries are held-out objects.
+    is scored on identical data.  Queries are held-out objects.  Both
+    splits read the scaled corpus features through the provider that
+    ``groupvec train`` uses.
     """
-    table, _, model = synth_generate_full(synth_cfg)
+    table, features = synth_generate(synth_cfg)
     rng = np.random.default_rng(synth_cfg.seed + 777)
     perm = rng.permutation(np.asarray(table.ids))
     n_eval = int(round(eval_fraction * len(table)))
@@ -60,7 +49,9 @@ def split_corpus(synth_cfg: SynthConfig, eval_fraction=EVAL_FRACTION, n_queries=
     train_table = ObjectTable([r for r in table if r.object_id not in eval_ids])
     eval_table = ObjectTable([r for r in table if r.object_id in eval_ids])
     queries = [int(i) for i in perm[:n_queries]]
-    return train_table, eval_table, queries, ScaledProvider(model, feature_scale)
+    return train_table, eval_table, queries, BaseFeatureProvider.from_table(
+        table, feature_scale * features
+    )
 
 
 # arm -> its training settings, in the order the ablation reports them
@@ -80,15 +71,15 @@ def arm_config(arm: str, steps: int, seed: int, **overrides) -> TrainConfig:
     return TrainConfig(**kw)
 
 
-def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries, model) -> float:
+def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries, provider) -> float:
     """Train one arm and return held-out object-level mAP."""
-    state, _ = train(train_cfg, train_table, model)
+    state, _ = train(train_cfg, train_table, provider)
     trained = partition_by_scale(train_table, train_cfg.groups)
     assignment = np.array(
         [trained.route_area(a) for a in eval_table.areas], dtype=np.int64
     )
     eval_groups = ScaleGroups(train_cfg.groups, assignment, trained.boundaries, eval_table)
-    store = embed_all(state.student, eval_table, model, eval_groups)
+    store = embed_all(state.student, eval_table, provider, eval_groups)
     gt = GroundTruth.from_table(eval_table)
     # a held-out query is a store object: its embedding is its own row
     row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
@@ -103,6 +94,6 @@ def arm_map(corpus_seed: int, arm: str, steps: int, train_seed: int, synth_cfg=N
     """Held-out object mAP of one arm on one corpus.  Each call builds its
     own corpus, so the calls of an ablation can run in separate processes."""
     cfg = synth_cfg if synth_cfg is not None else SynthConfig(seed=corpus_seed)
-    train_table, eval_table, queries, model = split_corpus(cfg)
+    train_table, eval_table, queries, provider = split_corpus(cfg)
     tc = arm_config(arm, steps=steps, seed=train_seed, **overrides)
-    return heldout_object_map(tc, train_table, eval_table, queries, model)
+    return heldout_object_map(tc, train_table, eval_table, queries, provider)

@@ -25,7 +25,7 @@ from groupvec.data import (
     write_manifest,
 )
 from groupvec.cli import _load_data
-from groupvec.data import BaseFeatureProvider
+from groupvec.data import BaseFeatureProvider, SynthConfig, synth_generate_full
 from groupvec.losses import LossConfig
 from groupvec.metrics import EvalConfig, GroundTruth, ScaleReport, scale_report
 from groupvec.retrieval import EmbeddingStore, embed_query, query
@@ -34,6 +34,7 @@ from groupvec.train import (
     init_state,
     load_checkpoint,
     save_checkpoint,
+    train,
     train_step,
 )
 
@@ -253,6 +254,48 @@ class TestTrain:
         assert (part / "loss.log").read_bytes() == (whole / "loss.log").read_bytes()
         assert (part / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
 
+    def test_command_line_trains_what_the_library_trains(self, tmp_path, ini, data_dir, capsys):
+        # shared rows (n_shared 3) over two refreshes (steps 0 and 4): the
+        # corpus files that synth wrote and the feature model that made them
+        # give every row, shared ones too, the same features
+        assert TRAIN_KW["n_shared"] > 0 and TRAIN_KW["steps"] > TRAIN_KW["refresh_period"]
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, _ = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out)
+        assert rc == 0
+        table, _, model = synth_generate_full(SynthConfig(**SYNTH_KW))
+        _, lines = train(TrainConfig(**TRAIN_KW, loss=LossConfig(**LOSS_KW)), table, model)
+        assert (out / "loss.log").read_text() == "".join(line + "\n" for line in lines)
+
+    def test_resume_on_another_corpus_names_the_first_differing_object(
+        self, tmp_path, ini, data_dir, capsys
+    ):
+        part = tmp_path / "part"
+        part.mkdir()
+        table, _, provider = _load_data(data_dir)
+        cfg = TrainConfig(**TRAIN_KW, loss=LossConfig(**LOSS_KW))
+        state = init_state(cfg, SYNTH_KW["feature_dim"])
+        head = [train_step(state, partition_by_scale(table, cfg.groups), provider) for _ in range(3)]
+        save_checkpoint(part / "checkpoint.bin", state)
+        (part / "loss.log").write_text("".join(l + "\n" for l in head))
+        before = [(part / name).read_bytes() for name in ("checkpoint.bin", "loss.log")]
+
+        bigger = tmp_path / "bigger"
+        bigger.mkdir()
+        other = write_ini(tmp_path / "eighty.ini", {"synth": {**SYNTH_KW, "n_objects": 80}})
+        rc, _, _ = run(capsys, "synth", "--config", other, "--out", bigger)
+        assert rc == 0
+        rc, out, err = run(
+            capsys, "train", "--config", ini, "--data", bigger,
+            "--out", part, "--resume", part / "checkpoint.bin",
+        )
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "error: resume corpus differs from checkpoint: object 60 is in the corpus, "
+            "not in the checkpoint"
+        )
+        assert [(part / name).read_bytes() for name in ("checkpoint.bin", "loss.log")] == before
+
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, data_dir, capsys):
         ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
         out = tmp_path / "run"
@@ -412,6 +455,12 @@ class TestManifestErrors:
         # a finite width whose product with the height overflows
         pytest.param(4, "1e307", "must be finite, got (469.6946567503081, 2284.7129457248943, "
                      "1e+307, 23.6511015199412) and area inf", id="area-overflow"),
+        pytest.param(0, str(2**63), "object 9223372036854775808: object_id must be an int64 "
+                     "integer, got 9223372036854775808", id="object-id-beyond-int64"),
+        pytest.param(1, str(-(2**63) - 1), "image_id must be an int64 integer, got "
+                     "-9223372036854775809", id="image-id-beyond-int64"),
+        pytest.param(6, str(2**64), "class_id must be an int64 integer, got "
+                     "18446744073709551616", id="class-id-beyond-int64"),
     ])
     def test_bad_field_names_file_and_line(self, tmp_path, ini, data_dir, capsys, column, value, message):
         manifest = data_dir / "manifest.tsv"
@@ -942,9 +991,33 @@ WRONG_SHAPE = {
 }
 
 
+# case -> the blob and its entry that is not an integer (or, in the
+# neighbour rows, lies below their -1 padding), written into a tiny-model
+# checkpoint that then has a bank and a neighbour table
+NOT_INTEGRAL = {
+    "nt.rows 1.5": ("nt.rows", 1.5),
+    "nt.rows nan": ("nt.rows", math.nan),
+    "nt.rows -2": ("nt.rows", -2.0),
+    "nt.ids inf": ("nt.ids", math.inf),
+    "nt.step 0.5": ("nt.step", 0.5),
+    "opt.t 2.7": ("opt.t", 2.7),
+    "bank.step 2**63": ("bank.step", 2.0**63),
+}
+
+
 def _damage(path, case) -> str:
     """Rewrite a valid checkpoint with one field damaged; returns the field."""
     header, blobs = read_container(path)
+    if case in NOT_INTEGRAL:
+        name, value = NOT_INTEGRAL[case]
+        blobs.update({
+            "bank.centroids": np.zeros((2, 2)), "bank.step": np.array(0.0),
+            "nt.ids": np.arange(4.0), "nt.rows": np.array([[1.0], [0.0], [3.0], [2.0]]),
+            "nt.step": np.array(0.0),
+        })
+        blobs[name].flat[0] = value
+        write_container(path, header, blobs)
+        return f"bad {name!r} in checkpoint: {value!r} is not an integer"
     if case == "missing blob":
         del blobs["opt.m"]
         write_container(path, header, blobs)
@@ -965,7 +1038,7 @@ def _damage(path, case) -> str:
 
 class TestDamagedCheckpoint:
     @pytest.mark.parametrize(
-        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE]
+        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE, *NOT_INTEGRAL]
     )
     def test_rejected_in_one_line_naming_file_and_field(self, tmp_path, capsys, case):
         d, ckpt, _ = tiny_model(tmp_path)
@@ -1141,3 +1214,24 @@ class TestIngest:
         )
         assert rc == 1
         assert "4 feature rows for 1 annotations" in err
+
+    def test_non_integer_class_writes_nothing(self, tmp_path, capsys):
+        # read_manifest would reject what ingest wrote, so ingest rejects it
+        doc = {
+            "images": [{"id": 1}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "bbox": [0, 0, 2, 2], "category_id": 1.5}
+            ],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        feats = tmp_path / "feats.npy"
+        np.save(feats, np.zeros((1, 4)))
+        d = tmp_path / "data"
+        d.mkdir()
+        rc, _, err = run(
+            capsys, "ingest", "--annotations", ann, "--features", feats, "--out", d
+        )
+        assert rc == 1
+        assert err.splitlines() == ["error: annotations[0]: category_id must be an integer, got 1.5"]
+        assert list(d.iterdir()) == []

@@ -89,6 +89,78 @@ class TestIngest:
             ingest_coco(p)
 
 
+    @pytest.mark.parametrize("images, annotation, message", [
+        pytest.param(None, {"bbox": [0, None, 4, 4]},
+                     r"annotations\[0\]: bbox must be four numbers \[x, y, w, h\], got \[0, None",
+                     id="null-bbox-entry"),
+        pytest.param(None, {"bbox": [0, 0, 10**400, 4]}, r"annotations\[0\]: bbox must be four numbers",
+                     id="bbox-int-beyond-float"),
+        pytest.param(None, {"bbox": [0, 0, "4", 4]}, r"annotations\[0\]: bbox must be four numbers",
+                     id="bbox-string"),
+        pytest.param([{"id": [1]}], {}, r"images\[0\]: needs an integer 'id', got \{'id': \[1\]\}",
+                     id="list-image-id"),
+        pytest.param(None, {"category_id": 1.5}, r"annotations\[0\]: category_id must be an integer, got 1.5",
+                     id="float-class"),
+        pytest.param(None, {"category_id": "x"}, r"annotations\[0\]: category_id must be an integer, got 'x'",
+                     id="string-class"),
+        pytest.param(None, {"id": True}, r"annotations\[0\]: id must be an integer, got True",
+                     id="bool-id"),
+        pytest.param(None, {"id": 2**70}, r"annotations\[0\]: object 1180591620717411303424: "
+                     r"object_id must be an int64 integer", id="id-beyond-int64"),
+        pytest.param([{"id": 2**63}], {"image_id": 2**63}, r"annotations\[0\]: object 1: "
+                     r"image_id must be an int64 integer, got 9223372036854775808", id="image-id-beyond-int64"),
+        pytest.param(None, {"category_id": -(2**63) - 1}, r"annotations\[0\]: object 1: "
+                     r"class_id must be an int64 integer", id="class-below-int64"),
+    ])
+    def test_bad_id_or_bbox_names_the_entry(self, tmp_path, images, annotation, message):
+        ann = {"id": 1, "image_id": 1, "bbox": [0, 0, 4, 4], "category_id": 0, **annotation}
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(coco_doc([ann], images=images)))
+        with pytest.raises(ValueError, match=message):
+            ingest_coco(p)
+
+    def test_mixed_int_and_string_ids(self, tmp_path):
+        doc = coco_doc([
+            {"id": 1, "image_id": 1, "bbox": [0, 0, 4, 4], "category_id": 0},
+            {"id": "2", "image_id": 1, "bbox": [0, 0, 4, 4], "category_id": 0},
+        ])
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"annotations\[1\]: id must be an integer, got '2'"):
+            ingest_coco(p)
+
+    def test_feature_rows_follow_ascending_ids(self, tmp_path):
+        doc = coco_doc([
+            {"id": 2**63 - 1, "image_id": 1, "bbox": [0, 0, 4, 4], "category_id": 0},
+            {"id": 0, "image_id": 1, "bbox": [0, 0, 2, 2], "category_id": 1},
+        ])
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc))
+        table = ingest_coco(p)
+        assert table.ids.tolist() == [0, 2**63 - 1]
+        assert table.feature_refs.tolist() == [0, 1]
+
+
+class TestObjectRecordIds:
+    @pytest.mark.parametrize("field, value", [
+        ("object_id", 2**63), ("image_id", -(2**63) - 1), ("class_id", 2**64),
+        ("object_id", 1.0), ("image_id", "3"), ("class_id", True), ("object_id", None),
+    ])
+    def test_non_int64_id_rejected(self, field, value):
+        kw = dict(object_id=1, image_id=1, bbox=(0.0, 0.0, 2.0, 2.0), area=4.0, class_id=0)
+        with pytest.raises(ValueError, match=f"{field} must be an int64 integer, got {value!r}"):
+            ObjectRecord(**{**kw, field: value})
+
+    def test_negative_object_id_rejected(self):
+        # a checkpoint's neighbour rows pad with -1, so no object id may be negative
+        with pytest.raises(ValueError, match="object -1: object_id must not be negative"):
+            ObjectRecord(-1, 1, (0.0, 0.0, 2.0, 2.0), 4.0)
+
+    def test_int64_bounds_and_numpy_ints_accepted(self):
+        r = ObjectRecord(np.int64(2**63 - 1), -(2**63), (0.0, 0.0, 2.0, 2.0), 4.0, class_id=np.int32(3))
+        assert ObjectTable([r]).ids.tolist() == [2**63 - 1]
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         recs = [

@@ -338,7 +338,7 @@ def test_embed_query_routes_by_area(corpus):
     table, provider, groups, student = corpus
     feature = provider.base_features(table.ids[:1])[0]
     for m in range(groups.k):
-        area = groups.median_area(m)
+        area = float(np.median(table.areas[groups.group_rows(m)]))
         emb = embed_query(student, groups, feature, area)
         f_h, _ = student.forward(feature[None, :], m)
         assert np.array_equal(emb, f_h[0])
