@@ -35,7 +35,7 @@ from .forked import Child, usable_cpus
 from .losses import LossConfig
 from .metrics import IOU_GATES, EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, query, rank
-from .train import TrainConfig, load_checkpoint, load_config, train
+from .train import TrainConfig, check_checkpoint_ids, load_checkpoint, load_config, train
 
 
 def _key_types(cls, skip: tuple[str, ...] = ()) -> dict:
@@ -71,9 +71,12 @@ def _parse_bool(text: str) -> bool:
 def read_config(path) -> dict:
     import configparser
 
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser = configparser.ConfigParser(interpolation=None)  # values are read as written
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:  # its text may span several lines
+        raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     sections = {}
     for name in parser.sections():
         if name not in SECTION_TYPES:
@@ -128,7 +131,9 @@ def _require_dir(path, flag: str) -> Path:
 def _load_features(path, rows: int, what: str) -> np.ndarray:
     """The feature matrix at ``path``, one row for each of ``rows`` ``what``."""
     features = np.load(path)
-    if features.ndim != 2 or features.shape[0] != rows:
+    if not isinstance(features, np.ndarray) or features.ndim != 2:
+        raise ValueError(f"{path}: not a 2-D feature array")
+    if features.shape[0] != rows:
         raise ValueError(f"{path}: {features.shape[0]} feature rows for {rows} {what}")
     return features
 
@@ -195,6 +200,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     out = _require_dir(args.out, "--out")
     state = load_checkpoint(args.resume) if args.resume else None
+    check_checkpoint_ids(table.ids)  # as train does, but before the log is opened
     _echo_config("train", cfg)
     mode = "a" if args.resume else "w"
     with open(out / "loss.log", mode, encoding="utf-8", newline="\n") as log:

@@ -135,8 +135,9 @@ def ingest_coco(annotation_file) -> ObjectTable:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{annotation_file}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise ValueError(f"{annotation_file}: document must contain 'images' and 'annotations'")
+    for key in ("images", "annotations"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+            raise ValueError(f"{annotation_file}: {key!r} must be an array")
 
     image_ids = set()
     for i, img in enumerate(doc["images"]):

@@ -8,6 +8,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,35 +34,23 @@ class CentroidBank:
 
 @dataclass(frozen=True)
 class NeighborTable:
-    neighbors: dict[int, np.ndarray]  # object_id -> neighbor ids, nearest first
+    """``ids`` (int64, ascending) and ``rows`` (int64): row i holds the
+    neighbor ids of ``ids[i]``, nearest first, padded with -1."""
+
+    ids: np.ndarray
+    rows: np.ndarray
     last_refresh_step: int
+
+    @functools.cached_property
+    def neighbors(self) -> dict[int, np.ndarray]:
+        """object_id -> the non-negative entries of its row, in order."""
+        keep = self.rows >= 0
+        flat = self.rows[keep]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        return {oid: flat[s:e] for oid, s, e in zip(self.ids.tolist(), [0] + ends, ends)}
 
     def of(self, object_id: int) -> np.ndarray:
         return self.neighbors[object_id]
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, rows)``: the object ids in ascending order and, in row i,
-        the neighbors of ``ids[i]``, padded with -1 to the longest list."""
-        ids = np.array(sorted(self.neighbors), dtype=np.int64)
-        width = max((len(v) for v in self.neighbors.values()), default=0)
-        rows = np.full((ids.size, width), -1, dtype=np.int64)
-        for i, oid in enumerate(ids.tolist()):
-            nb = self.neighbors[oid]
-            rows[i, : len(nb)] = nb
-        return ids, rows
-
-    @classmethod
-    def from_arrays(cls, ids: np.ndarray, rows: np.ndarray, step: int) -> "NeighborTable":
-        """The table whose ``to_arrays`` are the int64 ``ids`` and ``rows``,
-        refreshed at ``step``: each id's neighbors are the non-negative
-        entries of its row, in order."""
-        keep = rows >= 0
-        flat = rows[keep]
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        neighbors = {
-            oid: flat[start:end] for oid, start, end in zip(ids.tolist(), [0] + ends, ends)
-        }
-        return cls(neighbors=neighbors, last_refresh_step=step)
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,8 @@ def knn_table(
     """Within-group nearest neighbors by Euclidean distance.
 
     Self is excluded; exact distance ties break toward the smaller object
-    id.  Each object gets min(k_neighbors, group size - 1) neighbors.
+    id.  Each object gets min(k_neighbors, group size - 1) neighbors, in a
+    row padded with -1 to min(k_neighbors, largest group size - 1).
 
     Distances are ``backends.cross_sqdist``'s per-pair sums.  A group is
     first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
@@ -197,19 +187,21 @@ def knn_table(
     group_of = np.asarray(group_of)
     if not (f.shape[0] == object_ids.size == group_of.size):
         raise ValueError("rows, object ids and group assignment must align")
-    neighbors: dict[int, np.ndarray] = {}
-    for g in np.unique(group_of):
+    labels, sizes = np.unique(group_of, return_counts=True)
+    if (sizes < 2).any():
+        raise ValueError(f"group {labels[sizes < 2][0]} has fewer than two members")
+    table = np.full((f.shape[0], min(k_neighbors, sizes.max(initial=1) - 1)), -1, dtype=np.int64)
+    for g in labels:
         rows = np.flatnonzero(group_of == g)
-        if rows.size < 2:
-            raise ValueError(f"group {g} has fewer than two members")
         sub = f[rows]
         ids = object_ids[rows]
         take = min(k_neighbors, rows.size - 1)
         for local, cand in enumerate(_knn_candidates(sub, take)):
             d2 = cross_sqdist(sub[cand], sub[local][None, :]).ravel()
             order = np.lexsort((ids[cand], d2))[:take]
-            neighbors[int(ids[local])] = ids[cand[order]]
-    return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+            table[rows[local], :take] = ids[cand[order]]
+    order = np.argsort(object_ids, kind="stable")
+    return NeighborTable(ids=object_ids[order], rows=table[order], last_refresh_step=step)
 
 
 def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
@@ -333,7 +325,7 @@ def refresh(
     The two halves read only the base features and the teacher, so where
     the process may run on two or more CPUs the neighbor table is built in
     one forked child (``forked.Child``) while this process builds the
-    bank, and comes back as ``NeighborTable.to_arrays``; on one CPU, or
+    bank, and comes back as the ``NeighborTable`` itself; on one CPU, or
     without ``os.fork``, this process builds both, the table first.  Both
     ways run the same two functions on the same inputs, so the results
     have the same bits.
@@ -345,25 +337,23 @@ def refresh(
     if usable_cpus() < 2:
         table = _neighbor_table(*args, k_neighbors, step)
         return _centroid_bank(*args, n_clusters, kmeans_iters, seed + step, step), table
-    with Child(
-        "a neighbor-table process", lambda: _neighbor_table(*args, k_neighbors, step).to_arrays()
-    ) as child:
+    with Child("a neighbor-table process", lambda: _neighbor_table(*args, k_neighbors, step)) as child:
         bank = _centroid_bank(*args, n_clusters, kmeans_iters, seed + step, step)
-        return bank, NeighborTable.from_arrays(*child.result(), step)
+        return bank, child.result()
 
 
 def _neighbor_table(teacher, groups, feats, k_neighbors, step) -> NeighborTable:
     """The within-group kNN table of the teacher's wide embedding, built one
-    group at a time: neighbors never cross a group, so no wide embedding
-    of the whole corpus is ever held."""
-    neighbors: dict[int, np.ndarray] = {}
+    group at a time (neighbors never cross a group, so no wide embedding of
+    the whole corpus is ever held) into rows padded to the largest group's."""
+    ids = groups.table.ids
+    table = np.full((ids.size, min(k_neighbors, max(groups.group_sizes()) - 1)), -1, dtype=np.int64)
     for m in range(groups.k):
         rows = groups.group_rows(m)
-        if rows.size:
-            wide = teacher.embed(feats[rows])
-            ids = groups.table.ids[rows]
-            neighbors.update(knn_table(wide, ids, np.full(rows.size, m), k_neighbors, step).neighbors)
-    return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+        wide = teacher.embed(feats[rows])
+        part = knn_table(wide, ids[rows], np.full(rows.size, m), k_neighbors, step)
+        table[rows, : part.rows.shape[1]] = part.rows
+    return NeighborTable(ids=ids, rows=table, last_refresh_step=step)
 
 
 def _centroid_bank(teacher, groups, feats, n_clusters, iters, seed, step) -> CentroidBank:

@@ -227,14 +227,11 @@ def train_step(state: TrainState, groups: ScaleGroups, provider) -> str:
     return line
 
 
-def _check_same_objects(ntable: NeighborTable, table: ObjectTable) -> None:
-    """A resumed run's corpus must hold the objects of its checkpoint's
-    neighbour table; a ValueError names the smallest id one of them lacks."""
-    saved = set(ntable.neighbors)
-    if only := saved ^ set(table.ids.tolist()):
-        oid = min(only)
-        where = "checkpoint, not in the corpus" if oid in saved else "corpus, not in the checkpoint"
-        raise ValueError(f"resume corpus differs from checkpoint: object {oid} is in the {where}")
+def check_checkpoint_ids(ids: np.ndarray) -> None:
+    """A checkpoint's float64 blobs hold integers exactly up to 2**53: a
+    ValueError names the first of the object ``ids`` above that."""
+    if (above := ids[ids > 2**53]).size:
+        raise ValueError(f"object {above[0]}: a checkpoint holds object ids up to 2**53 only")
 
 
 def train(
@@ -258,8 +255,13 @@ def train(
         state = init_state(cfg, provider.base_features(table.ids[:1]).shape[1])
     elif diff := _config_diff(state.cfg, cfg):
         raise ValueError("resume config differs from checkpoint config: " + "; ".join(diff))
-    elif state.ntable is not None:
-        _check_same_objects(state.ntable, table)
+    elif state.ntable is not None and (only := np.setxor1d(state.ntable.ids, table.ids)).size:
+        # the smallest id that one of the checkpoint and the corpus lacks
+        oid, saved = only[0], only[0] in state.ntable.ids
+        where = "checkpoint, not in the corpus" if saved else "corpus, not in the checkpoint"
+        raise ValueError(f"resume corpus differs from checkpoint: object {oid} is in the {where}")
+    if checkpoint_path is not None:
+        check_checkpoint_ids(table.ids)
     lines: list[str] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,7 +297,8 @@ def save_checkpoint(path, state: TrainState) -> None:
         blobs["bank.centroids"] = state.bank.centroids
         blobs["bank.step"] = np.array(float(state.bank.last_refresh_step))
     if state.ntable is not None:
-        blobs["nt.ids"], blobs["nt.rows"] = state.ntable.to_arrays()
+        check_checkpoint_ids(state.ntable.ids)
+        blobs["nt.ids"], blobs["nt.rows"] = state.ntable.ids, state.ntable.rows
         blobs["nt.step"] = np.array(float(state.ntable.last_refresh_step))
     write_container(path, header, blobs)
 
@@ -364,9 +367,8 @@ def load_checkpoint(path) -> TrainState:
         )
     if "nt.ids" in blobs:
         ids = shaped("nt.ids", None, low=0)
-        ntable = NeighborTable.from_arrays(
-            ids, shaped("nt.rows", ids.size, None, low=-1), int(shaped("nt.step", low=0))
-        )
+        rows = shaped("nt.rows", ids.size, None, low=-1)
+        ntable = NeighborTable(ids, rows, int(shaped("nt.step", low=0)))
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = get(header, "rng_state", json.loads)
     return TrainState(

@@ -275,8 +275,8 @@ def sqdist_rows(x, c):
 def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
     """Within-group kNN table measuring each row against its whole group:
     one ``cross_sqdist`` of the group against the row and one lexsort of
-    (distance, id) per row, with no screen.  Same signature and result as
-    ``sampling.knn_table``."""
+    (distance, id) per row, with no screen, and each row padded with -1 to
+    the longest.  Same signature and result as ``sampling.knn_table``."""
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
     group_of = np.asarray(group_of)
@@ -293,9 +293,12 @@ def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
         for local, oid in enumerate(ids):
             d2 = cross_sqdist(sub, sub[local][None, :]).ravel()
             order = np.lexsort((ids, d2))
-            picked = [int(ids[j]) for j in order if j != local][:take]
-            neighbors[int(oid)] = np.array(picked, dtype=np.int64)
-    return NeighborTable(neighbors=neighbors, last_refresh_step=step)
+            neighbors[int(oid)] = [int(ids[j]) for j in order if j != local][:take]
+    ids = np.array(sorted(neighbors), dtype=np.int64)
+    rows = np.full((ids.size, max(map(len, neighbors.values()), default=0)), -1, dtype=np.int64)
+    for i, oid in enumerate(ids.tolist()):
+        rows[i, : len(neighbors[oid])] = neighbors[oid]
+    return NeighborTable(ids=ids, rows=rows, last_refresh_step=step)
 
 
 def adam_step_expr(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps=1e-8):

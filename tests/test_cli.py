@@ -5,6 +5,7 @@ output streams, and the artifact files, so the assertions cover exactly
 what a shell user would see.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -135,6 +136,26 @@ class TestConfig:
         ini = write_ini(tmp_path / "bad.ini", {"wat": {"x": 1}})
         with pytest.raises(ValueError, match=r"\[wat\]"):
             read_config(ini)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("seed = 5\n", "File contains no section headers.", id="no-section"),
+        pytest.param("[synth]\nseed = 5\nseed = 6\n", "option 'seed' in section 'synth' already exists",
+                     id="key-twice"),
+        pytest.param("[synth]\nseed\n", "[line 2]: 'seed\\n'", id="key-without-value"),
+        pytest.param("[synth]\nseed = 5%\n", "[synth] seed: invalid literal for int() with base 10: '5%'",
+                     id="percent"),
+    ])
+    def test_malformed_file_is_one_usage_line(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        out = tmp_path / "d"
+        out.mkdir()
+        rc, stdout, err = run(capsys, "synth", "--config", ini, "--out", out)
+        assert (rc, stdout) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"usage error: {ini}: ")
+        assert message in line
+        assert list(out.iterdir()) == []
 
     def test_bool_values_parse(self, tmp_path):
         ini = write_ini(tmp_path / "b.ini", {"loss": {"full_grad": "yes"}})
@@ -295,6 +316,25 @@ class TestTrain:
             "not in the checkpoint"
         )
         assert [(part / name).read_bytes() for name in ("checkpoint.bin", "loss.log")] == before
+
+    def test_object_id_above_2_53_is_one_error_line(self, tmp_path, ini, capsys):
+        # a checkpoint's float64 blobs hold ids up to 2**53 exactly
+        table, features, _ = synth_generate_full(SynthConfig(**SYNTH_KW))
+        ids = [2**60 + 2 * i + 1 for i in range(len(table))]
+        d, out = tmp_path / "data", tmp_path / "run"
+        d.mkdir()
+        out.mkdir()
+        write_manifest(
+            ObjectTable([dataclasses.replace(r, object_id=oid) for r, oid in zip(table, ids)]),
+            d / "manifest.tsv",
+        )
+        np.save(d / "features.npy", features)
+        rc, stdout, err = run(capsys, "train", "--config", ini, "--data", d, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: object 1152921504606846977: a checkpoint holds object ids up to 2**53 only"
+        ]
+        assert list(out.iterdir()) == []
 
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, data_dir, capsys):
         ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
@@ -1168,6 +1208,45 @@ class TestAtomicOutputs:
         ]
         assert [rankings.read_bytes(), report.read_bytes()] == before
         assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+
+
+def _write_npz(path):
+    """An ``.npz`` archive at ``path``, whatever its name."""
+    with open(path, "wb") as fh:
+        np.savez(fh, features=np.zeros((4, 2)))
+
+
+class TestFeatureFiles:
+    """A features file that is not a 2-D array is one line naming it, and
+    nothing is written."""
+
+    @pytest.mark.parametrize("write", [
+        pytest.param(lambda path: np.save(path, np.float64(3.0)), id="0-d"),
+        pytest.param(_write_npz, id="npz"),
+    ])
+    @pytest.mark.parametrize("command", ["ingest", "train", "embed"])
+    def test_not_a_2d_array(self, tmp_path, capsys, command, write):
+        d, ckpt, _ = tiny_model(tmp_path)
+        capsys.readouterr()
+        feats = d / "features.npy"
+        write(feats)
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "ingest":
+            ann = tmp_path / "ann.json"
+            ann.write_text(json.dumps({
+                "images": [{"id": 1}],
+                "annotations": [{"id": 1, "image_id": 1, "bbox": [0, 0, 2, 2], "category_id": 0}],
+            }))
+            argv = ["ingest", "--annotations", ann, "--features", feats, "--out", out]
+        elif command == "train":
+            argv = ["train", "--data", d, "--out", out, "--steps", 1]
+        else:
+            argv = ["embed", "--checkpoint", ckpt, "--data", d, "--out", out / "store.bin"]
+        rc, stdout, err = run(capsys, *argv)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [f"error: {feats}: not a 2-D feature array"]
+        assert list(out.iterdir()) == []
 
 
 class TestIngest:

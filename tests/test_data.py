@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestIngest:
         assert table.ids[table.image_ids == 7].tolist() == [1, 2]
         assert table.get(2).area == 8.0
         assert table.get(1).class_id == 3
+
+    @pytest.mark.parametrize("key, value", [("images", 5), ("annotations", None)])
+    def test_images_and_annotations_must_be_arrays(self, tmp_path, key, value):
+        doc = coco_doc([{"id": 1, "image_id": 7, "bbox": [0, 0, 2, 2], "category_id": 0}])
+        doc[key] = value
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: '{key}' must be an array$"):
+            ingest_coco(p)
 
     def test_empty_annotations(self, tmp_path):
         p = tmp_path / "ann.json"

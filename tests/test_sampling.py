@@ -38,6 +38,15 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def assert_same_table(got, want):
+    """Equal int64 ``ids`` and ``rows`` (padding included) and refresh step."""
+    assert got.ids.dtype == got.rows.dtype == np.int64
+    assert np.array_equal(got.ids, want.ids)
+    assert got.rows.shape == want.rows.shape
+    assert np.array_equal(got.rows, want.rows)
+    assert got.last_refresh_step == want.last_refresh_step
+
+
 class TestKmeans:
     def test_single_cluster_is_column_mean(self):
         f = np.random.default_rng(0).normal(size=(10, 3))
@@ -130,6 +139,19 @@ class TestKnnTable:
         assert t.of(1).tolist() == [3]
         assert t.of(2).tolist() == [4]
 
+    def test_rows_follow_ascending_ids_padded_to_the_largest_group(self):
+        # groups of 4 and 2 given in shuffled id order: width min(5, 4 - 1);
+        # 12 is as far from 13 as from 15, and the smaller id comes first
+        f = np.array([[0.0], [7.0], [1.0], [3.0], [9.0], [6.0]])
+        ids = np.array([15, 11, 14, 12, 10, 13])
+        t = knn_table(f, ids, np.array([0, 1, 0, 0, 1, 0]), k_neighbors=5, step=4)
+        assert t.ids.tolist() == [10, 11, 12, 13, 14, 15]
+        assert t.rows.tolist() == [
+            [11, -1, -1], [10, -1, -1], [14, 13, 15], [12, 14, 15], [15, 12, 13], [14, 12, 13],
+        ]
+        assert t.of(10).tolist() == [11]
+        assert t.last_refresh_step == 4
+
     def test_singleton_group_named_in_error(self):
         with pytest.raises(ValueError, match="group 1"):
             knn_table(np.zeros((3, 2)), np.arange(3), np.array([0, 0, 1]))
@@ -202,10 +224,7 @@ class TestKnnTableAtRefreshScale:
         got = knn_table(f, ids, group_of, k_neighbors=5, step=7)
         want = knn_rows(f, ids, group_of, k_neighbors=5, step=7)
         assert got.last_refresh_step == 7
-        assert set(got.neighbors) == set(want.neighbors)
-        for oid, nb in want.neighbors.items():
-            assert got.of(oid).dtype == np.int64
-            assert np.array_equal(got.of(oid), nb)
+        assert_same_table(got, want)
 
     @pytest.mark.parametrize("k", [1, 3, 6, 40])
     def test_small_groups_and_k_at_least_group_size(self, k):
@@ -217,9 +236,8 @@ class TestKnnTableAtRefreshScale:
         group_of = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2])[rng.permutation(13)]
         got = knn_table(f, ids, group_of, k_neighbors=k)
         want = knn_rows(f, ids, group_of, k_neighbors=k)
-        for oid, nb in want.neighbors.items():
-            assert got.of(oid).dtype == np.int64
-            assert np.array_equal(got.of(oid), nb)
+        assert_same_table(got, want)
+        assert got.rows.shape == (13, min(k, 6))
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_underflowing_and_overflowing_rows(self, scale):
@@ -230,8 +248,7 @@ class TestKnnTableAtRefreshScale:
         with np.errstate(over="ignore", under="ignore"):
             got = knn_table(f, ids, group_of, k_neighbors=4)
             want = knn_rows(f, ids, group_of, k_neighbors=4)
-        for oid, nb in want.neighbors.items():
-            assert np.array_equal(got.of(oid), nb)
+        assert_same_table(got, want)
 
 
 def _measured_rows(monkeypatch):
@@ -541,10 +558,7 @@ class TestRefresh:
             assert_reaped(forked, 1 if cpus > 1 and can_fork else 0)
             assert same_bits(got_bank.centroids, want_bank.centroids)
             assert got_bank.last_refresh_step == got_nt.last_refresh_step == 5
-            assert set(got_nt.neighbors) == set(want_nt.neighbors)
-            for oid, nb in want_nt.neighbors.items():
-                assert got_nt.of(oid).dtype == np.int64
-                assert np.array_equal(got_nt.of(oid), nb)
+            assert_same_table(got_nt, want_nt)
 
     def _refresh(self):
         return refresh(
@@ -598,8 +612,7 @@ def test_default_refresh_equals_whole_corpus_composition(corpus_2000, monkeypatc
         monkeypatch.undo()
         assert_reaped(forked, 1 if cpus > 1 and can_fork else 0)
         assert same_bits(got_bank.centroids, want_bank.centroids)
-        for oid, nb in want_nt.neighbors.items():
-            assert np.array_equal(got_nt.of(oid), nb)
+        assert_same_table(got_nt, want_nt)
 
 
 def test_default_refresh_traced_memory_peak(corpus_2000, monkeypatch):

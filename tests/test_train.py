@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -8,9 +10,16 @@ import groupvec.train as train_mod
 from _cpus import assert_reaped, force_cpus
 from _oracles import adam_step_expr, adam_step_whole, knn_rows
 from groupvec.checkpoint import read_container, write_container
-from groupvec.data import SynthConfig, synth_generate_full
+from groupvec.data import (
+    BaseFeatureProvider,
+    ObjectTable,
+    SynthConfig,
+    partition_by_scale,
+    synth_generate_full,
+)
 from groupvec.encoder import Params
 from groupvec.losses import LossConfig
+from groupvec.sampling import refresh
 from groupvec.train import (
     OptState,
     TrainConfig,
@@ -222,9 +231,10 @@ class TestTrainLoop:
         assert back.opt.t == state.opt.t
         assert np.array_equal(back.bank.centroids, state.bank.centroids)
         assert back.bank.last_refresh_step == state.bank.last_refresh_step
-        assert set(back.ntable.neighbors) == set(state.ntable.neighbors)
-        for oid, nb in state.ntable.neighbors.items():
-            assert np.array_equal(back.ntable.neighbors[oid], nb)
+        assert back.ntable.ids.dtype == back.ntable.rows.dtype == np.int64
+        assert np.array_equal(back.ntable.ids, state.ntable.ids)
+        assert np.array_equal(back.ntable.rows, state.ntable.rows)
+        assert back.ntable.last_refresh_step == state.ntable.last_refresh_step
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
         assert config_digest(back.cfg) == config_digest(cfg)
 
@@ -330,3 +340,113 @@ class TestTrainLoop:
             tiny_cfg(ema_momentum=1.5)
         with pytest.raises(ValueError):
             tiny_cfg(groups=0)
+
+
+def renumbered_corpus(first, n=60):
+    """``tiny_corpus(n=n)``'s objects renumbered ``first``, ``first + 2``, ...
+    in their order, with a provider of the same features."""
+    table, feats, _ = synth_generate_full(SynthConfig(n_objects=n, seed=0, feature_dim=8, n_classes=4))
+    ids = [first + 2 * i for i in range(n)]
+    renamed = ObjectTable([dataclasses.replace(r, object_id=oid) for r, oid in zip(table, ids)])
+    return renamed, BaseFeatureProvider.from_table(renamed, feats)
+
+
+class TestCheckpointIdLimit:
+    """A checkpoint's blobs are float64: object ids up to 2**53 survive it."""
+
+    MESSAGE = r"^object 1152921504606846977: a checkpoint holds object ids up to 2\*\*53 only$"
+
+    def test_save_refuses_an_id_above_2_53(self, tmp_path):
+        table, provider = renumbered_corpus(2**60 + 1)
+        cfg = tiny_cfg()
+        state = init_state(cfg, 8)
+        groups = partition_by_scale(table, cfg.groups)
+        for _ in range(3):
+            train_step(state, groups, provider)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            save_checkpoint(tmp_path / "ck.msg1", state)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_refuses_before_step_0(self, tmp_path, monkeypatch):
+        table, provider = renumbered_corpus(2**60 + 1)
+        monkeypatch.setattr(train_mod, "train_step", lambda *args: pytest.fail("a step ran"))
+        log = io.StringIO()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            train(tiny_cfg(), table, provider, log=log, checkpoint_path=tmp_path / "ck.msg1")
+        assert log.getvalue() == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_id_2_53_resumes_bit_identically(self, tmp_path):
+        table, provider = renumbered_corpus(2**53 - 118)
+        assert int(table.ids[-1]) == 2**53
+        cfg = tiny_cfg()
+        _, full_lines = train(cfg, table, provider, checkpoint_path=tmp_path / "whole.msg1")
+        state = init_state(cfg, 8)
+        groups = partition_by_scale(table, cfg.groups)
+        head = [train_step(state, groups, provider) for _ in range(4)]
+        save_checkpoint(tmp_path / "part.msg1", state)
+        resumed = load_checkpoint(tmp_path / "part.msg1")
+        assert np.array_equal(resumed.ntable.ids, table.ids)
+        _, tail = train(cfg, table, provider, state=resumed, checkpoint_path=tmp_path / "part.msg1")
+        assert head + tail == full_lines
+        assert (tmp_path / "part.msg1").read_bytes() == (tmp_path / "whole.msg1").read_bytes()
+
+
+class TestPaddedNeighborTable:
+    """22 objects in groups of 6, 6, 5 and 5 with knn 5: the rows hold 5, 5,
+    4 and 4 neighbours, padded with -1, across the fork and the checkpoint."""
+
+    def setup_method(self):
+        self.table, self.model = tiny_corpus(n=22)
+        self.cfg = tiny_cfg(groups=4, knn=5)
+        self.groups = partition_by_scale(self.table, 4)
+        assert self.groups.group_sizes() == [6, 6, 5, 5]
+
+    def test_refresh_gives_the_same_arrays_on_one_and_two_cpus(self, monkeypatch):
+        teacher = init_state(self.cfg, 8).teacher
+        tables = []
+        for cpus in (1, 2):
+            forked = force_cpus(monkeypatch, cpus)
+            _, nt = refresh(0, 1, teacher, self.groups, self.model, None, None,
+                            n_clusters=4, k_neighbors=5)
+            monkeypatch.undo()
+            assert_reaped(forked, cpus - 1)
+            tables.append(nt)
+        one, two = tables
+        assert np.array_equal(one.ids, self.table.ids) and np.array_equal(two.ids, one.ids)
+        assert two.rows.dtype == np.int64 and np.array_equal(two.rows, one.rows)
+        assert one.rows.shape == (22, 5)
+        counts = (one.rows >= 0).sum(axis=1)
+        for m, size in enumerate(self.groups.group_sizes()):
+            rows = self.groups.group_rows(m)
+            assert counts[rows].tolist() == [size - 1] * size
+            assert (one.rows[rows, size - 1:] == -1).all()
+
+    def test_save_and_load_return_equal_arrays(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        state, _ = train(self.cfg, self.table, self.model)
+        assert (state.ntable.rows == -1).any()
+        save_checkpoint(tmp_path / "ck.msg1", state)
+        back = load_checkpoint(tmp_path / "ck.msg1").ntable
+        assert back.ids.dtype == back.rows.dtype == np.int64
+        assert np.array_equal(back.ids, state.ntable.ids)
+        assert np.array_equal(back.rows, state.ntable.rows)
+        assert back.last_refresh_step == state.ntable.last_refresh_step == 3
+
+    def test_resumed_run_writes_the_same_loss_log(self, tmp_path, monkeypatch):
+        # refreshes at steps 0 and 3; the resumed steps 4 and 5 read the
+        # table that the checkpoint carried
+        force_cpus(monkeypatch, 2)
+        whole, part = tmp_path / "whole.log", tmp_path / "part.log"
+        with open(whole, "w", encoding="utf-8", newline="\n") as log:
+            train(self.cfg, self.table, self.model, log=log)
+        state = init_state(self.cfg, 8)
+        with open(part, "w", encoding="utf-8", newline="\n") as log:
+            for _ in range(4):
+                log.write(train_step(state, self.groups, self.model) + "\n")
+        save_checkpoint(tmp_path / "ck.msg1", state)
+        resumed = load_checkpoint(tmp_path / "ck.msg1")
+        with open(part, "a", encoding="utf-8", newline="\n") as log:
+            train(self.cfg, self.table, self.model, state=resumed, log=log)
+        assert part.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 6
