@@ -18,6 +18,16 @@ BACKEND_NAME = "py"
 _BLOCK_ELEMS = 2**17
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialized float64 array of ``n`` elements starting on a 64-byte
+    boundary, sliced out of a slightly larger ``np.empty``: a large
+    ``np.empty`` starts 16 bytes into a page, where vector stores into it
+    split cache lines."""
+    raw = np.empty(n + 7, dtype=np.float64)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + n]
+
+
 def cross_sqdist(x, c):
     """Squared Euclidean distances between rows of x (n,d) and c (L,d), each
     the sum of one pair's squared differences at any size, so a row meets
@@ -30,7 +40,7 @@ def cross_sqdist(x, c):
     out = np.empty((n, m), dtype=np.float64)
     flat = out.reshape(-1)
     rows = max(1, _BLOCK_ELEMS // max(m * d, 1))
-    buf = np.empty((min(rows, n), m, d), dtype=np.float64)
+    buf = _aligned_empty(min(rows, n) * m * d).reshape(min(rows, n), m, d)
     for s in range(0, n, rows):
         diff = buf[: min(rows, n - s)]
         np.subtract(x[s : s + rows, None, :], c[None, :, :], out=diff)
@@ -50,7 +60,7 @@ def self_sqdist(x):
     n, d = x.shape
     out = np.empty((n, n), dtype=np.float64)
     rows = max(1, _BLOCK_ELEMS // max(n * d, 1))
-    buf = np.empty(min(rows, n) * n * d, dtype=np.float64)
+    buf = _aligned_empty(min(rows, n) * n * d)
     for s in range(0, n, rows):
         e = min(s + rows, n)
         diff = buf[: (e - s) * (n - s) * d].reshape(e - s, n - s, d)
@@ -69,7 +79,7 @@ def row_sqnorms(x):
     n, d = x.shape
     out = np.empty(n, dtype=np.float64)
     rows = max(1, _BLOCK_ELEMS // max(d, 1))
-    buf = np.empty((min(rows, n), d), dtype=np.float64)
+    buf = _aligned_empty(min(rows, n) * d).reshape(min(rows, n), d)
     for s in range(0, n, rows):
         sq = buf[: min(rows, n - s)]
         np.multiply(x[s : s + rows], x[s : s + rows], out=sq)

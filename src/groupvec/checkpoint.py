@@ -11,12 +11,15 @@ Layout (all integers little-endian):
         nlen u16, name (UTF-8), ndim u8, ndim x u64 dims,
         little-endian float64 data
 
-Writing the result of a read reproduces the file byte for byte.  A file
-cut short anywhere, or whose lengths point past its end, is rejected
-with "<path>: truncated checkpoint"; one whose header or a blob name is
-not UTF-8 is rejected naming the file too.  ``read_header`` reads and
-checks the magic, the version and the header alone, so it does not see
-damage after them.
+Writing the result of a read reproduces the file byte for byte.  Blob
+data moves straight between the file and the array: the writer writes
+each array's own buffer, and the reader reads each blob into a fresh
+array, reading only the blobs asked for and seeking past the others.  A
+file cut short anywhere, or whose lengths point past its end, is
+rejected with "<path>: truncated checkpoint", whichever blobs are read;
+one whose header or a blob name is not UTF-8 is rejected naming the
+file too.  ``read_header`` reads and checks the magic, the version and
+the header alone, so it does not see damage after them.
 """
 
 from __future__ import annotations
@@ -42,14 +45,27 @@ def write_container(path, header: dict[str, str], blobs: dict[str, np.ndarray]) 
         fh.write(raw)
         fh.write(struct.pack("<I", len(blobs)))
         for name in sorted(blobs):
-            arr = np.asarray(blobs[name], dtype="<f8")
+            arr = blobs[name]
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
+            fh.write(struct.pack("<B", np.ndim(arr)))
+            for dim in np.shape(arr):
                 fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
+            write_array(fh, arr, "<f8")
+
+
+def _bytes(arr: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array, as a flat uint8 view of its buffer
+    (a memoryview cannot be cast to bytes when a dimension is 0)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
+def write_array(fh, arr, dtype: str) -> None:
+    """Write the values of ``arr`` as ``dtype`` in C order, from the array's
+    own buffer when it has that layout and from one converted copy when
+    not: the same bytes for any layout or byte order."""
+    fh.write(_bytes(np.asarray(arr, dtype=dtype, order="C")))
 
 
 @contextlib.contextmanager
@@ -69,12 +85,28 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         raise
 
 
-def read_exact(fh, n: int, path, what: str) -> bytes:
-    """Read exactly ``n`` bytes, or fail naming the file as truncated before
-    reading anything, so a damaged length cannot ask for a huge buffer."""
+def _check_left(fh, n: int, path, what: str) -> None:
+    """Fail naming the file as truncated unless ``n`` bytes are left in it,
+    so a damaged length cannot ask for a huge buffer."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated {what}")
+
+
+def read_exact(fh, n: int, path, what: str) -> bytes:
+    """Read exactly ``n`` bytes, checking that they are there first."""
+    _check_left(fh, n, path, what)
     return fh.read(n)
+
+
+def read_array(fh, shape, dtype: str, path, what: str) -> np.ndarray:
+    """A fresh array of ``shape`` and ``dtype``, read straight from the file
+    into its buffer; the bytes are checked to be there before it is made."""
+    n = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_left(fh, n, path, what)
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(_bytes(arr)) != n:  # the file shrank meanwhile
+        raise ValueError(f"{path}: truncated {what}")
+    return arr
 
 
 def read_head(fh, magic: bytes, version: int, path, what: str) -> None:
@@ -118,7 +150,10 @@ def read_header(path) -> dict[str, str]:
         return _read_header(fh, path)
 
 
-def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def read_container(path, names=None) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The header and the blobs named in ``names`` (every blob when None).
+    Each other blob's name, shape and length are read and checked as well,
+    and its data is skipped."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         (nblobs,) = _unpack(fh, "<I", path)
@@ -128,6 +163,10 @@ def read_container(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             name = _text(fh, nlen, path, "blob name")
             (ndim,) = _unpack(fh, "<B", path)
             shape = _unpack(fh, f"<{ndim}Q", path)
-            raw = read_exact(fh, math.prod(shape) * 8, path, "checkpoint")
-            blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if names is None or name in names:
+                blobs[name] = read_array(fh, shape, "<f8", path, "checkpoint")
+            else:
+                n = math.prod(shape) * 8
+                _check_left(fh, n, path, "checkpoint")
+                fh.seek(n, os.SEEK_CUR)
         return header, blobs

@@ -35,7 +35,14 @@ from .forked import Child, usable_cpus
 from .losses import LossConfig
 from .metrics import IOU_GATES, EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, query, rank
-from .train import TrainConfig, check_checkpoint_ids, load_checkpoint, load_config, train
+from .train import (
+    TrainConfig,
+    check_checkpoint_ids,
+    load_checkpoint,
+    load_config,
+    load_student,
+    train,
+)
 
 
 def _key_types(cls, skip: tuple[str, ...] = ()) -> dict:
@@ -200,7 +207,10 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     out = _require_dir(args.out, "--out")
     state = load_checkpoint(args.resume) if args.resume else None
-    check_checkpoint_ids(table.ids)  # as train does, but before the log is opened
+    # as train does, but before the log is opened, so a rejected run
+    # leaves the one already in --out whole
+    partition_by_scale(table, cfg.groups)
+    check_checkpoint_ids(table.ids)
     _echo_config("train", cfg)
     mode = "a" if args.resume else "w"
     with open(out / "loss.log", mode, encoding="utf-8", newline="\n") as log:
@@ -212,10 +222,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    state = load_checkpoint(args.checkpoint)
+    cfg, student = load_student(args.checkpoint)
     table, _, provider = _load_data(args.data)
     _echo_config("embed", {"checkpoint": args.checkpoint})
-    store = embed_all(state.student, table, provider, partition_by_scale(table, state.cfg.groups))
+    store = embed_all(student, table, provider, partition_by_scale(table, cfg.groups))
     store.save(args.out)
     print(f"embedded {store.count} objects at width {store.dim}", file=sys.stderr)
     return 0

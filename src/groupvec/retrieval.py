@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import cross_sqdist
-from .checkpoint import atomic_write, read_exact, read_head
+from .checkpoint import atomic_write, read_array, read_exact, read_head, write_array
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
 
@@ -63,22 +63,17 @@ class EmbeddingStore:
             fh.write(struct.pack("<I", STORE_VERSION))
             fh.write(struct.pack("<I", self.dim))
             fh.write(struct.pack("<Q", self.count))
-            fh.write(np.ascontiguousarray(self.vectors, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(self.object_ids, dtype="<u8").tobytes())
+            write_array(fh, self.vectors, "<f4")
+            write_array(fh, self.object_ids, "<u8")
 
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
         with open(path, "rb") as fh:
             read_head(fh, STORE_MAGIC, STORE_VERSION, path, "store")
             dim, count = struct.unpack("<IQ", read_exact(fh, 12, path, "store"))
-            vec_raw = read_exact(fh, count * dim * 4, path, "store")
-            ids_raw = read_exact(fh, count * 8, path, "store")
-        vec = np.frombuffer(vec_raw, dtype="<f4")
-        ids = np.frombuffer(ids_raw, dtype="<u8")
-        return cls(
-            vectors=vec.reshape(count, dim),
-            object_ids=ids.astype(np.int64),
-        )
+            vec = read_array(fh, (count, dim), "<f4", path, "store")
+            ids = read_array(fh, (count,), "<u8", path, "store")
+        return cls(vectors=vec, object_ids=ids.astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -330,32 +330,49 @@ def load_config(path) -> TrainConfig:
     return _header_config(path, read_header(path))
 
 
-def load_checkpoint(path) -> TrainState:
-    header, blobs = read_container(path)
+def _blob(path, blobs: dict, name: str, *dims, low=None) -> np.ndarray:
+    """Blob ``name``, of shape ``dims``; a dim of None matches any length.
+    With ``low``, the blob as int64, each entry an integer >= ``low``."""
+    blob = _field(path, blobs, name)
+    need = tuple(n if d is None else d for n, d in zip(blob.shape, dims))
+    if blob.ndim != len(dims) or blob.shape != need:
+        raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
+    if low is None:
+        return blob
+    ok = (blob == np.trunc(blob)) & (low <= blob) & (blob < 2.0**63)  # NaN fails both bounds
+    if not ok.all():
+        bad = float(blob[~ok].flat[0])
+        raise ValueError(f"{path}: bad {name!r} in checkpoint: {bad!r} is not an integer in [{low}, 2**63)")
+    return blob.astype(np.int64)
+
+
+def _read_checkpoint(path, names=None):
+    """``(header, blobs, config, student)`` of the checkpoint at ``path``,
+    with the blobs in ``names`` read (every blob when None) and the
+    student's parameters checked and taken from ``student.data``."""
+    header, blobs = read_container(path, names)
     cfg = _header_config(path, header)
-    get = functools.partial(_field, path)
-
-    def shaped(name: str, *dims, low=None):
-        """Blob ``name``, of shape ``dims``; a dim of None matches any length.
-        With ``low``, the blob as int64, each entry an integer >= ``low``."""
-        blob = get(blobs, name)
-        need = tuple(n if d is None else d for n, d in zip(blob.shape, dims))
-        if blob.ndim != len(dims) or blob.shape != need:
-            raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
-        if low is None:
-            return blob
-        ok = (blob == np.trunc(blob)) & (low <= blob) & (blob < 2.0**63)  # NaN fails both bounds
-        if not ok.all():
-            bad = float(blob[~ok].flat[0])
-            raise ValueError(f"{path}: bad {name!r} in checkpoint: {bad!r} is not an integer in [{low}, 2**63)")
-        return blob.astype(np.int64)
-
-    enc = cfg.encoder_config(get(header, "feature_dim", int))
-    student, teacher = StudentNet(enc), TeacherNet(enc)
+    student = StudentNet(cfg.encoder_config(_field(path, header, "feature_dim", int)))
     # the file's arrays are fresh and owned, so they become the state as
     # they are, with no initialization to overwrite
-    for name, params in (("student.data", student.params), ("teacher.data", teacher.params)):
-        params.data = shaped(name, params.data.size)
+    student.params.data = _blob(path, blobs, "student.data", student.params.data.size)
+    return header, blobs, cfg, student
+
+
+def load_student(path) -> tuple[TrainConfig, StudentNet]:
+    """The config and the student of the checkpoint at ``path``, read from
+    its header and ``student.data`` alone and checked as ``load_checkpoint``
+    checks them; the other blobs are only length-checked."""
+    _, _, cfg, student = _read_checkpoint(path, ("student.data",))
+    return cfg, student
+
+
+def load_checkpoint(path) -> TrainState:
+    header, blobs, cfg, student = _read_checkpoint(path)
+    shaped = functools.partial(_blob, path, blobs)
+    get = functools.partial(_field, path)
+    teacher = TeacherNet(student.cfg)
+    teacher.params.data = shaped("teacher.data", teacher.params.data.size)
     size = student.params.data.size
     opt = OptState(0)
     opt.m, opt.v, opt.t = shaped("opt.m", size), shaped("opt.v", size), int(shaped("opt.t", low=0))
@@ -368,6 +385,10 @@ def load_checkpoint(path) -> TrainState:
     if "nt.ids" in blobs:
         ids = shaped("nt.ids", None, low=0)
         rows = shaped("nt.rows", ids.size, None, low=-1)
+        if (stray := np.setdiff1d(rows[rows >= 0], ids)).size:
+            raise ValueError(
+                f"{path}: bad 'nt.rows' in checkpoint: neighbour {stray[0]} is not in 'nt.ids'"
+            )
         ntable = NeighborTable(ids, rows, int(shaped("nt.step", low=0)))
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = get(header, "rng_state", json.loads)

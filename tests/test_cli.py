@@ -336,6 +336,36 @@ class TestTrain:
         ]
         assert list(out.iterdir()) == []
 
+    def test_neighbour_outside_the_table_is_one_error_line(self, tmp_path, ini, data_dir, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, _ = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out, "--steps", 1)
+        assert rc == 0
+        ckpt = out / "checkpoint.bin"
+        header, blobs = read_container(ckpt)
+        blobs["nt.rows"][:, 0] = 99999
+        write_container(ckpt, header, blobs)
+        rc, stdout, err = run(
+            capsys, "train", "--config", ini, "--data", data_dir, "--out", out, "--resume", ckpt,
+        )
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == [
+            f"error: {ckpt}: bad 'nt.rows' in checkpoint: neighbour 99999 is not in 'nt.ids'"
+        ]
+
+    def test_rejected_fresh_run_keeps_the_previous_run(self, tmp_path, ini, data_dir, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, _, _ = run(capsys, "train", "--config", ini, "--data", data_dir, "--out", out, "--steps", 4)
+        assert rc == 0
+        names = ("checkpoint.bin", "loss.log")
+        before = [(out / name).read_bytes() for name in names]
+        big = write_ini(tmp_path / "big.ini", {"train": {**TRAIN_KW, "groups": 100}})
+        rc, stdout, err = run(capsys, "train", "--config", big, "--data", data_dir, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: group count 100 exceeds table size 60"]
+        assert [(out / name).read_bytes() for name in names] == before
+
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, data_dir, capsys):
         ini = write_ini(tmp_path / "huge.ini", {"train": {**TRAIN_KW, "lr": 1e200}})
         out = tmp_path / "run"
@@ -844,12 +874,18 @@ def tiny_model(tmp_path):
 
 
 def _reading(what, d, ckpt, store, tmp_path) -> list:
-    """A command that reads the whole checkpoint first (``embed``), or the
-    store after a checkpoint's header (``eval``, whose store-width check
-    reads the header before the store)."""
+    """A command that reads the store after a checkpoint's header (``eval``,
+    whose store-width check reads the header before the store); one that
+    reads every blob of the checkpoint first (``train --resume``, for
+    ``"every blob"``); or one that walks the whole checkpoint first but
+    reads only its header and ``student.data`` (``embed``)."""
     if what == "store":
         return ["eval", "--checkpoint", ckpt, "--data", d, "--store", store,
                 "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+    if what == "every blob":
+        out = tmp_path / "resumed"
+        out.mkdir(exist_ok=True)
+        return ["train", "--resume", ckpt, "--data", d, "--out", out, "--steps", 1]
     return ["embed", "--checkpoint", ckpt, "--data", d, "--out", tmp_path / "x"]
 
 
@@ -1062,6 +1098,14 @@ def _damage(path, case) -> str:
         del blobs["opt.m"]
         write_container(path, header, blobs)
         return "'opt.m'"
+    if case == "missing student":
+        del blobs["student.data"]
+        write_container(path, header, blobs)
+        return "'student.data'"
+    if case == "student shape":
+        blobs["student.data"] = blobs["student.data"][:-1]
+        write_container(path, header, blobs)
+        return "student.data has shape"
     if case == "config not json":
         header["config"] = "{steps: 0}"
         write_container(path, header, blobs)
@@ -1077,6 +1121,14 @@ def _damage(path, case) -> str:
 
 
 class TestDamagedCheckpoint:
+    def _assert_rejected(self, capsys, ckpt, field, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {ckpt}: ")
+        assert field in line
+
     @pytest.mark.parametrize(
         "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE, *NOT_INTEGRAL]
     )
@@ -1084,12 +1136,26 @@ class TestDamagedCheckpoint:
         d, ckpt, _ = tiny_model(tmp_path)
         capsys.readouterr()
         field = _damage(ckpt, case)
-        rc, out, err = run(capsys, *_reading("checkpoint", d, ckpt, None, tmp_path))
-        assert rc == 1
-        assert out == ""
-        [line] = err.splitlines()
-        assert line.startswith(f"error: {ckpt}: ")
-        assert field in line
+        self._assert_rejected(capsys, ckpt, field, _reading("every blob", d, ckpt, None, tmp_path))
+
+    @pytest.mark.parametrize("case", ["missing student", "student shape"])
+    def test_embed_rejects_a_damaged_student(self, tmp_path, capsys, case):
+        d, ckpt, _ = tiny_model(tmp_path)
+        capsys.readouterr()
+        field = _damage(ckpt, case)
+        self._assert_rejected(capsys, ckpt, field, _reading("checkpoint", d, ckpt, None, tmp_path))
+
+    def test_embed_reads_only_the_student(self, tmp_path, capsys):
+        """Without ``opt.m`` a checkpoint embeds to the same store, and a
+        resume, which needs it, is rejected."""
+        d, ckpt, store = tiny_model(tmp_path)
+        capsys.readouterr()
+        field = _damage(ckpt, "missing blob")
+        again = tmp_path / "again.store"
+        rc, _, err = run(capsys, "embed", "--checkpoint", ckpt, "--data", d, "--out", again)
+        assert rc == 0, err
+        assert again.read_bytes() == store.read_bytes()
+        self._assert_rejected(capsys, ckpt, field, _reading("every blob", d, ckpt, None, tmp_path))
 
 
 class _HalfFullDisk:

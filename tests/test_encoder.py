@@ -212,6 +212,27 @@ def test_container_round_trip_is_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_container_writes_any_layout_as_its_contiguous_copy(tmp_path):
+    """Blobs written from their own buffers: a transposed view, a strided
+    slice, a big-endian array and an empty array read back equal, in the
+    bytes of their contiguous little-endian copies."""
+    base = np.random.default_rng(1).normal(size=(6, 8))
+    blobs = {
+        "transposed": base.T,
+        "strided": base[::2, 1::3],
+        "big endian": base.astype(">f8"),
+        "empty": base[:0],
+    }
+    views, copies = tmp_path / "views.msg1", tmp_path / "copies.msg1"
+    write_container(views, {"k": "v"}, blobs)
+    write_container(copies, {"k": "v"}, {k: np.ascontiguousarray(b, dtype="<f8") for k, b in blobs.items()})
+    assert views.read_bytes() == copies.read_bytes()
+    _, back = read_container(views)
+    for k, blob in blobs.items():
+        assert back[k].shape == blob.shape
+        assert np.array_equal(back[k], blob)
+
+
 def test_container_bad_magic(tmp_path):
     p = tmp_path / "bad.msg1"
     p.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -78,6 +78,14 @@ def test_store_round_trip_preserves_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_empty_store_round_trip(tmp_path):
+    path = tmp_path / "empty.bin"
+    EmbeddingStore(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)).save(path)
+    loaded = EmbeddingStore.load(path)
+    assert loaded.vectors.shape == (0, 3)
+    assert loaded.object_ids.shape == (0,)
+
+
 def test_store_header_layout(tmp_path):
     rng = np.random.default_rng(1)
     store = random_store(rng, n=3, dim=2)
