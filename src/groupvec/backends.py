@@ -2,8 +2,9 @@
 
 The losses, the refresh (kNN table, k-means) and search compute their
 distances here.  Everything is float64 in, float64 out.  Every exact
-squared distance is ``cross_sqdist`` or its triangle ``self_sqdist``; the
-Gram form gives distances only in ``assign_nearest``.
+squared distance is ``cross_sqdist``, its triangle ``self_sqdist`` or its
+entries for chosen pairs ``paired_sqdist``; the Gram form gives distances
+only in ``assign_nearest``.
 """
 
 import numpy as np
@@ -67,6 +68,31 @@ def self_sqdist(x):
         np.subtract(x[s:e, None, :], x[None, s:, :], out=diff)
         np.einsum("ijk,ijk->ij", diff, diff, out=out[s:e, s:])
         out[e:, s:e] = out[s:e, e:].T
+    return out
+
+
+def paired_sqdist(f, i, j):
+    """The squared distance of rows ``f[i[p]]`` and ``f[j[p]]`` for each pair
+    p: ``cross_sqdist(f[i], f[j])[p, p]`` to the bit, so a row meets itself
+    at exactly 0.0.  Blocks of pairs are gathered into one reused buffer
+    of two (rows, d) halves, each pair's squared differences summed as
+    ``cross_sqdist`` sums them; the block size does not change a bit."""
+    f = np.asarray(f, dtype=np.float64)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    (n,), d = i.shape, f.shape[1]
+    if n and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < len(f)):
+        raise IndexError(f"pair index outside rows 0-{len(f) - 1}")
+    out = np.empty(n, dtype=np.float64)
+    rows = max(1, _BLOCK_ELEMS // max(d, 1))
+    buf = _aligned_empty(2 * min(rows, n) * d).reshape(2, min(rows, n), d)
+    for s in range(0, n, rows):
+        a, b = buf[:, : min(rows, n - s)]
+        # "clip" gathers straight into the buffer; every index is in range
+        np.take(f, i[s : s + rows], axis=0, out=a, mode="clip")
+        np.take(f, j[s : s + rows], axis=0, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.einsum("ij,ij->i", a, a, out=out[s : s + rows])
     return out
 
 
@@ -146,10 +172,13 @@ def assign_nearest(x, c, kept=None, moved=None):
 
 
 def _gram_sqdist(x, x_sq, c):
-    """The Gram form of the squared distances, given the squared norms of x."""
-    sq = x_sq[:, None] + row_sqnorms(c)[None, :]
-    sq -= 2.0 * (x @ c.T)
-    return np.maximum(sq, 0.0)
+    """The Gram form of the squared distances, given the squared norms of x,
+    in place through two (n, L) arrays."""
+    prod = x @ c.T
+    prod *= 2.0
+    sq = np.add.outer(x_sq, row_sqnorms(c))
+    sq -= prod
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _whole_product(n, m, k):

@@ -16,7 +16,8 @@ data moves straight between the file and the array: the writer writes
 each array's own buffer, and the reader reads each blob into a fresh
 array, reading only the blobs asked for and seeking past the others.  A
 file cut short anywhere, or whose lengths point past its end, is
-rejected with "<path>: truncated checkpoint", whichever blobs are read;
+rejected with "<path>: truncated checkpoint", whichever blobs are read,
+and one with a shape NumPy cannot make with "<path>: damaged checkpoint";
 one whose header or a blob name is not UTF-8 is rejected naming the
 file too.  ``read_header`` reads and checks the magic, the version and
 the header alone, so it does not see damage after them.
@@ -98,11 +99,21 @@ def read_exact(fh, n: int, path, what: str) -> bytes:
     return fh.read(n)
 
 
+def _blob_bytes(fh, shape, itemsize: int, path, what: str) -> int:
+    """The byte length of a blob of ``shape``, checked to be left in the
+    file, and the shape checked to be one NumPy can make: a 0 in it makes
+    0 bytes whatever the other dimensions, which must still fit."""
+    n = math.prod(shape) * itemsize
+    _check_left(fh, n, path, what)
+    if math.prod(dim for dim in shape if dim) * itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{path}: damaged {what}")
+    return n
+
+
 def read_array(fh, shape, dtype: str, path, what: str) -> np.ndarray:
     """A fresh array of ``shape`` and ``dtype``, read straight from the file
     into its buffer; the bytes are checked to be there before it is made."""
-    n = math.prod(shape) * np.dtype(dtype).itemsize
-    _check_left(fh, n, path, what)
+    n = _blob_bytes(fh, shape, np.dtype(dtype).itemsize, path, what)
     arr = np.empty(shape, dtype=dtype)
     if fh.readinto(_bytes(arr)) != n:  # the file shrank meanwhile
         raise ValueError(f"{path}: truncated {what}")
@@ -166,7 +177,5 @@ def read_container(path, names=None) -> tuple[dict[str, str], dict[str, np.ndarr
             if names is None or name in names:
                 blobs[name] = read_array(fh, shape, "<f8", path, "checkpoint")
             else:
-                n = math.prod(shape) * 8
-                _check_left(fh, n, path, "checkpoint")
-                fh.seek(n, os.SEEK_CUR)
+                fh.seek(_blob_bytes(fh, shape, 8, path, "checkpoint"), os.SEEK_CUR)
         return header, blobs

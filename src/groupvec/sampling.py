@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import KeptDistances, assign_nearest, cross_sqdist, row_sqnorms
+from .backends import KeptDistances, assign_nearest, cross_sqdist, paired_sqdist, row_sqnorms
 from .data import ScaleGroups
 from .encoder import TeacherNet
 from .forked import Child, usable_cpus
@@ -68,18 +68,55 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
     Only the rows whose lower ``_gram_bounds`` to a new centre do not exceed
     their current minimum can lower it, so only those are measured with
     ``cross_sqdist``: the minima are those of measuring every row, to the
-    bit.  Every row is measured when a screened value is not finite."""
-    chosen = [int(rng.integers(f.shape[0]))]
-    mind = cross_sqdist(f, f[chosen[-1]][None, :]).ravel()
+    bit.  The bounds come from ``_screen_columns``, whose one Gram product
+    also screens the likeliest later centres.  Every row is measured when
+    a centre's screened column is not finite."""
+    first = int(rng.integers(f.shape[0]))
+    # allocated before any screen, so that the long-lived centres do not
+    # land above the screens' temporaries in the heap
+    cents = np.empty((n_clusters, f.shape[1]))
+    cents[0] = f[first]
+    mind = cross_sqdist(f, f[first][None, :]).ravel()
     sq = row_sqnorms(f)
-    while len(chosen) < n_clusters:
+    screen: dict = {}
+    for k in range(1, n_clusters):
         # ties go to the lowest index via argmax on the raw array
         nxt = int(np.argmax(mind))
-        chosen.append(nxt)
-        bounds = _gram_bounds(f, sq, f[nxt], sq[nxt])
-        rows = slice(None) if bounds is None else np.flatnonzero(bounds[0] <= mind)
+        cents[k] = f[nxt]
+        if nxt not in screen:
+            screen = _screen_columns(f, sq, mind, nxt)
+        if screen[nxt] is None:
+            rows = slice(None)
+        else:
+            near, lower = screen[nxt]
+            rows = near[lower <= mind[near]]
         mind[rows] = np.minimum(mind[rows], cross_sqdist(f[rows], f[nxt][None, :]).ravel())
-    return f[np.array(chosen)].copy()
+    return cents
+
+
+# Rows screened with each new seeding centre: the next centres are mostly
+# among the rows now farthest from the centres so far.
+_SCREEN_BATCH = 16
+
+
+def _screen_columns(f: np.ndarray, sq: np.ndarray, mind: np.ndarray, centre: int) -> dict:
+    """Screen every row of ``f`` against ``centre`` and the ``_SCREEN_BATCH``
+    rows with the largest ``mind`` in one Gram product.  By row screened:
+    the rows whose lower ``_gram_bounds`` does not exceed ``mind``, with
+    those bounds, or None where the bounds hold a non-finite value.
+
+    ``mind`` only falls, so a row left out here stays out when the row
+    becomes a centre later.  The slack bounds any summation order, so a
+    column of this product screens as validly as a product with its row
+    alone."""
+    top = np.argpartition(mind, -min(_SCREEN_BATCH, mind.size))[-_SCREEN_BATCH:]
+    batch = np.append(top, centre)
+    lower = _gram_lower(f, sq, f[batch], sq[batch])
+    screen = dict.fromkeys(batch.tolist())
+    for col in np.flatnonzero(np.isfinite(lower).all(axis=0)):
+        near = np.flatnonzero(lower[:, col] <= mind)
+        screen[int(batch[col])] = (near, lower[near, col])
+    return screen
 
 
 def _cluster_sums(f: np.ndarray, assign: np.ndarray, clusters: np.ndarray) -> np.ndarray:
@@ -179,8 +216,9 @@ def knn_table(
     Distances are ``backends.cross_sqdist``'s per-pair sums.  A group is
     first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
     whose rounding error has a proven bound (the slack); only rows within
-    the slack of the k-th screened distance are measured exactly, so the
-    table equals a full sort of (distance, id).
+    the slack of the k-th screened distance are measured exactly, all of a
+    group's candidate pairs in one ``paired_sqdist`` pass, so the table
+    equals a full sort of (distance, id).
     """
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -196,16 +234,19 @@ def knn_table(
         sub = f[rows]
         ids = object_ids[rows]
         take = min(k_neighbors, rows.size - 1)
-        for local, cand in enumerate(_knn_candidates(sub, take)):
-            d2 = cross_sqdist(sub[cand], sub[local][None, :]).ravel()
-            order = np.lexsort((ids[cand], d2))[:take]
-            table[rows[local], :take] = ids[cand[order]]
+        row, cand = _knn_candidates(sub, take)
+        d2 = paired_sqdist(sub, cand, row)
+        # each row's candidates stay in place, sorted by (distance, id)
+        order = np.lexsort((ids[cand], d2, row))
+        first = np.searchsorted(row, np.arange(rows.size))
+        table[rows, :take] = ids[cand[order[first[:, None] + np.arange(take)]]]
     order = np.argsort(object_ids, kind="stable")
     return NeighborTable(ids=object_ids[order], rows=table[order], last_refresh_step=step)
 
 
-def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
-    """Per row, the other rows that may be among its ``take`` nearest.
+def _knn_candidates(sub: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (row, candidate) of rows that may be among each other's
+    ``take`` nearest, ordered by row, then candidate.
 
     Row j is kept for row i when its screened distance minus the slack
     does not exceed the ``take``-th smallest screened distance plus the
@@ -223,14 +264,14 @@ def _knn_candidates(sub: np.ndarray, take: int) -> list[np.ndarray]:
         kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
         keep = lower <= kth[:, None]
     np.fill_diagonal(keep, False)
-    return [np.flatnonzero(row) for row in keep]
+    return np.nonzero(keep)
 
 
-def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y):
+def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y: np.ndarray):
     """The screened distances ``|x|^2 + |y|^2 - 2 x.y`` of the rows of ``x``
-    to the rows of ``y`` (or to one row ``y``), from their squared norms,
-    minus and plus ``_gram_slack``: bounds on the exact distances.  None
-    when a screened value is not finite."""
+    to the rows of ``y``, from their squared norms, minus and plus
+    ``_gram_slack``: bounds on the exact distances.  None when a screened
+    value is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.outer(sq_x, sq_y)
         approx = total - 2.0 * (x @ y.T)
@@ -240,7 +281,19 @@ def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y):
         return approx - slack, approx + slack
 
 
-def _gram_slack(total: np.ndarray, dim: int) -> np.ndarray:
+def _gram_lower(x, sq_x, y, sq_y) -> np.ndarray:
+    """The lower ``_gram_bounds`` alone, non-finite where a screened value
+    is, computed in the Gram product with one temporary of its shape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = x @ y.T
+        lower *= -2.0
+        total = np.add.outer(sq_x, sq_y)
+        lower += total
+        lower -= _gram_slack(total, x.shape[1], out=total)
+    return lower
+
+
+def _gram_slack(total: np.ndarray, dim: int, out=None) -> np.ndarray:
     """Bound on the gap between a screened distance ``|x|^2 + |y|^2 - 2 x.y``
     (``total = |x|^2 + |y|^2``, ``dim`` columns) and the exact sum
     ``cross_sqdist`` gives; a row whose screened distance minus this
@@ -252,7 +305,10 @@ def _gram_slack(total: np.ndarray, dim: int) -> np.ndarray:
     # product adds at most one smallest subnormal, 5 D of them.  The factor
     # 8 covers the second-order terms and the rounding of the slack itself.
     f64 = np.finfo(np.float64)
-    return 8.0 * (dim + 4) * (f64.eps * total + f64.smallest_subnormal)
+    slack = np.multiply(total, f64.eps, out=out)
+    slack += f64.smallest_subnormal
+    slack *= 8.0 * (dim + 4)
+    return slack
 
 
 def assemble_batch(

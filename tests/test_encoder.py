@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,21 @@ def test_container_writes_any_layout_as_its_contiguous_copy(tmp_path):
     for k, blob in blobs.items():
         assert back[k].shape == blob.shape
         assert np.array_equal(back[k], blob)
+
+
+@pytest.mark.parametrize("names", [None, ["other"]], ids=["read", "skipped"])
+@pytest.mark.parametrize("dims", [(0, 2**63 + 5), (0, 2**62 + 1)], ids=["dim_too_large", "size_too_large"])
+def test_container_rejects_a_shape_numpy_cannot_make(tmp_path, names, dims):
+    # a 0 in the shape makes 0 bytes whatever the other dimension, so the
+    # length check passes, and NumPy could not make the array
+    path = tmp_path / "c.msg1"
+    write_container(path, {"k": "v"}, {"empty": np.zeros((0, 3)), "other": np.ones(2)})
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"empty") + len(b"empty") + 1  # past the name and ndim
+    raw[at : at + 16] = struct.pack("<2Q", *dims)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{path}: damaged checkpoint$"):
+        read_container(path, names)
 
 
 def test_container_bad_magic(tmp_path):

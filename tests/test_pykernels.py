@@ -92,3 +92,31 @@ def test_self_sqdist_is_the_exact_sum():
     assert np.array_equal(got, got.T)
     assert np.array_equal(np.diag(got), np.zeros(n))
     assert got[n - 1, 0] == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 3, 512, 1024])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
+def test_paired_sqdist_equals_cross_sqdist_entries(d, scale):
+    # two full blocks of pairs and part of a third; rows 0 and 39 coincide
+    rng = np.random.default_rng(d)
+    f = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1)) * scale
+    f[39] = f[0]
+    n = 2 * (backends._BLOCK_ELEMS // d) + 3
+    i, j = rng.integers(0, 40, size=(2, n))
+    i[::7] = j[::7]
+    i[1], j[1] = 0, 39
+    with np.errstate(over="ignore", under="ignore"):
+        want = backends.cross_sqdist(f, f)[i, j]
+        got = backends.paired_sqdist(f, i, j)
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    same = (i == j) | ((i % 39 == 0) & (j % 39 == 0))
+    assert np.array_equal(got[same].view(np.int64), np.zeros(same.sum(), dtype=np.int64))
+
+
+def test_paired_sqdist_no_pairs_and_rows_out_of_range():
+    f = np.ones((4, 3))
+    assert backends.paired_sqdist(f, [], []).shape == (0,)
+    for i, j in [([0, 4], [1, 1]), ([0, 1], [-1, 2])]:
+        with pytest.raises(IndexError, match="rows 0-3"):
+            backends.paired_sqdist(f, i, j)

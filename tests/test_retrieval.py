@@ -127,6 +127,17 @@ def test_store_rejects_truncation(tmp_path):
         EmbeddingStore.load(path)
 
 
+def test_store_rejects_a_row_count_numpy_cannot_make(tmp_path):
+    # 2**63 rows of width 0 are 0 bytes, so the length check passes
+    path = tmp_path / "s.bin"
+    random_store(np.random.default_rng(4), n=0, dim=0).save(path)
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<Q", 2**63 + 5)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{path}: damaged store$"):
+        EmbeddingStore.load(path)
+
+
 def test_store_validates_shapes():
     vec = np.zeros((3, 2), dtype=np.float32)
     with pytest.raises(ValueError, match="align"):

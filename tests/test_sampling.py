@@ -27,6 +27,7 @@ from groupvec.sampling import (
     knn_table,
     refresh,
     _cluster_sums,
+    _SCREEN_BATCH,
     _farthest_point_init,
     _lloyd,
 )
@@ -226,6 +227,23 @@ class TestKnnTableAtRefreshScale:
         assert got.last_refresh_step == 7
         assert_same_table(got, want)
 
+    def test_one_exact_pass_per_group(self, refresh_scale, monkeypatch):
+        # the refresh's input: each group's candidate pairs are measured in
+        # one paired_sqdist call, and no row is measured alone
+        wide, ids, group_of = refresh_scale
+        passes = []
+
+        def counting(f, i, j):
+            passes.append(len(i))
+            return backends_mod.paired_sqdist(f, i, j)
+
+        monkeypatch.setattr(sampling_mod, "paired_sqdist", counting)
+        alone = _measured_rows(monkeypatch)
+        got = knn_table(wide, ids, group_of, k_neighbors=5, step=3)
+        monkeypatch.undo()
+        assert alone == [] and len(passes) == 4
+        assert_same_table(got, knn_rows(wide, ids, group_of, k_neighbors=5, step=3))
+
     @pytest.mark.parametrize("k", [1, 3, 6, 40])
     def test_small_groups_and_k_at_least_group_size(self, k):
         # groups of 2, 4 and 7 rows: k >= size - 1 takes the whole group
@@ -261,6 +279,19 @@ def _measured_rows(monkeypatch):
 
     monkeypatch.setattr(sampling_mod, "cross_sqdist", counting)
     return sizes
+
+
+def _screens(monkeypatch):
+    """Record the columns of every batch the seeding screens, by row."""
+    screens = []
+    screen = sampling_mod._screen_columns
+
+    def recording(*args):
+        screens.append(screen(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(sampling_mod, "_screen_columns", recording)
+    return screens
 
 
 class TestScreenedSeeding:
@@ -319,6 +350,37 @@ class TestScreenedSeeding:
         sizes = _measured_rows(monkeypatch)
         got = _farthest_point_init(f, 20, np.random.default_rng(4))
         assert sizes[0] == 300 and sum(sizes[1:]) < 300 * 19
+        assert same_bits(got, want)
+
+
+    def test_more_ties_than_the_batch(self, monkeypatch):
+        # 300 rows on the 8 corners of a cube: about 37 copies of the
+        # farthest corner tie at the largest minimum, so the lowest-index
+        # one, the next centre, may be outside the rows screened with it
+        f = np.random.default_rng(10).integers(0, 2, size=(300, 3)).astype(np.float64)
+        screens = _screens(monkeypatch)
+        got = _farthest_point_init(f, 20, np.random.default_rng(1))
+        monkeypatch.undo()
+        assert _SCREEN_BATCH + 1 in [len(s) for s in screens]
+        assert same_bits(got, farthest_point_loop(f, 20, np.random.default_rng(1)))
+
+    def test_some_screened_columns_not_finite(self, monkeypatch):
+        # three rows of squared norm 1e308: the screened value of two of
+        # them overflows, that of one of them and a small row does not, so
+        # one batch holds finite and non-finite columns
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(300, 16))
+        big = rng.normal(size=(3, 16))
+        f[[7, 120, 200]] = big / np.linalg.norm(big, axis=1, keepdims=True) * 1e154
+        screens = _screens(monkeypatch)
+        sizes = _measured_rows(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _farthest_point_init(f, 20, np.random.default_rng(2))
+            monkeypatch.undo()
+            want = farthest_point_loop(f, 20, np.random.default_rng(2))
+        kinds = [{col is None for col in s.values()} for s in screens]
+        assert {True, False} in kinds
+        assert 300 in sizes[1:] and min(sizes) < 300
         assert same_bits(got, want)
 
 
