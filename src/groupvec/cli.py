@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import operator
 import sys
 import tempfile
@@ -37,7 +38,6 @@ from .metrics import IOU_GATES, EvalConfig, GroundTruth, ScaleReport
 from .retrieval import EmbeddingStore, embed_all, query, rank
 from .train import (
     TrainConfig,
-    check_checkpoint_ids,
     load_checkpoint,
     load_config,
     load_student,
@@ -157,6 +157,11 @@ def _load_table(data_dir):
     return read_manifest(_corpus_file(data_dir, "manifest.tsv"))
 
 
+def _manifest_sha256(data_dir) -> str:
+    """The sha256 of the corpus's manifest, which a store records."""
+    return hashlib.sha256(_corpus_file(data_dir, "manifest.tsv").read_bytes()).hexdigest()
+
+
 def _load_data(data_dir):
     table = _load_table(data_dir)
     features = _load_features(_corpus_file(data_dir, "features.npy"), len(table), "objects")
@@ -210,7 +215,6 @@ def cmd_train(args) -> int:
     # as train does, but before the log is opened, so a rejected run
     # leaves the one already in --out whole
     partition_by_scale(table, cfg.groups)
-    check_checkpoint_ids(table.ids)
     _echo_config("train", cfg)
     mode = "a" if args.resume else "w"
     with open(out / "loss.log", mode, encoding="utf-8", newline="\n") as log:
@@ -225,7 +229,8 @@ def cmd_embed(args) -> int:
     cfg, student = load_student(args.checkpoint)
     table, _, provider = _load_data(args.data)
     _echo_config("embed", {"checkpoint": args.checkpoint})
-    store = embed_all(student, table, provider, partition_by_scale(table, cfg.groups))
+    groups = partition_by_scale(table, cfg.groups)
+    store = embed_all(student, table, provider, groups, _manifest_sha256(args.data))
     store.save(args.out)
     print(f"embedded {store.count} objects at width {store.dim}", file=sys.stderr)
     return 0
@@ -244,13 +249,16 @@ def _parse_bbox(text: str):
     return x, y, w, h
 
 
-def _load_store(path, checkpoint, query_ids: list[int]):
-    """The store at ``path``, whose width must be the checkpoint's, and
-    the row of each query id in it: a query's embedding is its own row."""
+def _load_store(path, checkpoint, data_dir, query_ids: list[int]):
+    """The store at ``path``, whose width must be the checkpoint's and
+    whose manifest must be the corpus's, and the row of each query id in
+    it: a query's embedding is its own row."""
     width = load_config(checkpoint).student_dim
     store = EmbeddingStore.load(path)
     if store.dim != width:
         raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {width}")
+    if store.manifest_sha256 != _manifest_sha256(data_dir):
+        raise ValueError(f"{path}: store was not embedded from the manifest in {data_dir}")
     row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
     try:
         return store, [row_of[qid] for qid in query_ids]
@@ -266,7 +274,7 @@ def cmd_query(args) -> int:
     if rows.size == 0:
         raise ValueError(f"no object with bbox {bbox} in image {args.query_image}")
     oid = int(table.ids[rows[0]])
-    store, [row] = _load_store(args.store, args.checkpoint, [oid])
+    store, [row] = _load_store(args.store, args.checkpoint, args.data, [oid])
     _echo_config("query", {"checkpoint": args.checkpoint, "object": oid, "topk": topk})
     result = query(store, store.vectors[row], topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
@@ -341,7 +349,7 @@ def cmd_eval(args) -> int:
     table = _load_table(args.data)
     gt = _ground_truth(table)
     queries = table.ids[:max_queries].tolist()
-    store, rows = _load_store(args.store, args.checkpoint, queries)
+    store, rows = _load_store(args.store, args.checkpoint, args.data, queries)
     _echo_config(
         "eval",
         {"checkpoint": args.checkpoint, "queries": len(queries), "topk": topk},

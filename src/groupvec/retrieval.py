@@ -2,7 +2,8 @@
 
 A store holds one float64 array whose values are float32: its rows are
 rounded to float32 once, when the store is made, and its file keeps
-them as float32.  Search is exact and reads that array: ``rank``
+them as float32, with the sha256 of the manifest they were embedded
+from.  Search is exact and reads that array: ``rank``
 computes the distance to every row and orders the rows by (distance,
 object id), so rankings are deterministic and a query equal to a stored
 row comes back at distance exactly 0.0.  The distances are
@@ -21,24 +22,21 @@ whichever process it ran.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backends import cross_sqdist
-from .checkpoint import atomic_write, read_array, read_exact, read_head, write_array
+from .checkpoint import read_container, write_container
 from .data import ObjectTable, ScaleGroups
 from .encoder import StudentNet
-
-STORE_MAGIC = b"MSE1"
-STORE_VERSION = 1
 
 
 @dataclass(frozen=True)
 class EmbeddingStore:
     vectors: np.ndarray  # (n, dim) float64, each value a float32
     object_ids: np.ndarray  # (n,) int64, unique
+    manifest_sha256: str = ""  # of the manifest.tsv the rows were embedded from
 
     def __post_init__(self):
         v, ids = self.vectors, self.object_ids
@@ -58,22 +56,23 @@ class EmbeddingStore:
         return self.vectors.shape[1]
 
     def save(self, path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(STORE_MAGIC)
-            fh.write(struct.pack("<I", STORE_VERSION))
-            fh.write(struct.pack("<I", self.dim))
-            fh.write(struct.pack("<Q", self.count))
-            write_array(fh, self.vectors, "<f4")
-            write_array(fh, self.object_ids, "<u8")
+        write_container(path, {"format": "embedding-store", "manifest_sha256": self.manifest_sha256},
+                        {"vectors": self.vectors.astype(np.float32), "ids": self.object_ids})
 
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
-        with open(path, "rb") as fh:
-            read_head(fh, STORE_MAGIC, STORE_VERSION, path, "store")
-            dim, count = struct.unpack("<IQ", read_exact(fh, 12, path, "store"))
-            vec = read_array(fh, (count, dim), "<f4", path, "store")
-            ids = read_array(fh, (count,), "<u8", path, "store")
-        return cls(vectors=vec, object_ids=ids.astype(np.int64))
+        """The store at ``path``, its float32 rows read into one array and
+        widened once; a file that is not a whole store is one error naming it."""
+        header, blobs = read_container(path, what="store")
+        if header.get("format") != "embedding-store":
+            raise ValueError(f"{path}: not an embedding store")
+        try:
+            vec, ids = blobs["vectors"], blobs["ids"]
+            if vec.dtype != "<f4" or ids.dtype != "<i8" or (ids < 0).any():
+                raise ValueError
+            return cls(vec, ids, header["manifest_sha256"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: damaged store") from None
 
 
 @dataclass(frozen=True)
@@ -95,15 +94,17 @@ def embed_all(
     table: ObjectTable,
     provider,
     groups: ScaleGroups,
+    manifest_sha256: str = "",
 ) -> EmbeddingStore:
-    """Embed every object through the h-head of its own scale group."""
+    """Embed every object through the h-head of its own scale group; the
+    store records ``manifest_sha256``, that of the table's manifest."""
     out = np.zeros((len(table.ids), student.cfg.student_dim), dtype=np.float64)
     feats = provider.base_features(table.ids)
     for m in range(groups.k):
         rows = groups.group_rows(m)
         if rows.size:
             out[rows] = student.forward(feats[rows], m)[0]
-    return EmbeddingStore(vectors=out, object_ids=table.ids.copy())
+    return EmbeddingStore(vectors=out, object_ids=table.ids.copy(), manifest_sha256=manifest_sha256)
 
 
 def embed_query(

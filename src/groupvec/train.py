@@ -227,13 +227,6 @@ def train_step(state: TrainState, groups: ScaleGroups, provider) -> str:
     return line
 
 
-def check_checkpoint_ids(ids: np.ndarray) -> None:
-    """A checkpoint's float64 blobs hold integers exactly up to 2**53: a
-    ValueError names the first of the object ``ids`` above that."""
-    if (above := ids[ids > 2**53]).size:
-        raise ValueError(f"object {above[0]}: a checkpoint holds object ids up to 2**53 only")
-
-
 def train(
     cfg: TrainConfig,
     table: ObjectTable,
@@ -260,8 +253,6 @@ def train(
         oid, saved = only[0], only[0] in state.ntable.ids
         where = "checkpoint, not in the corpus" if saved else "corpus, not in the checkpoint"
         raise ValueError(f"resume corpus differs from checkpoint: object {oid} is in the {where}")
-    if checkpoint_path is not None:
-        check_checkpoint_ids(table.ids)
     lines: list[str] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -291,15 +282,14 @@ def save_checkpoint(path, state: TrainState) -> None:
         "teacher.data": state.teacher.params.data,
         "opt.m": state.opt.m,
         "opt.v": state.opt.v,
-        "opt.t": np.array(float(state.opt.t)),
+        "opt.t": np.array(state.opt.t, dtype=np.int64),
     }
     if state.bank is not None:
         blobs["bank.centroids"] = state.bank.centroids
-        blobs["bank.step"] = np.array(float(state.bank.last_refresh_step))
+        blobs["bank.step"] = np.array(state.bank.last_refresh_step, dtype=np.int64)
     if state.ntable is not None:
-        check_checkpoint_ids(state.ntable.ids)
         blobs["nt.ids"], blobs["nt.rows"] = state.ntable.ids, state.ntable.rows
-        blobs["nt.step"] = np.array(float(state.ntable.last_refresh_step))
+        blobs["nt.step"] = np.array(state.ntable.last_refresh_step, dtype=np.int64)
     write_container(path, header, blobs)
 
 
@@ -332,18 +322,17 @@ def load_config(path) -> TrainConfig:
 
 def _blob(path, blobs: dict, name: str, *dims, low=None) -> np.ndarray:
     """Blob ``name``, of shape ``dims``; a dim of None matches any length.
-    With ``low``, the blob as int64, each entry an integer >= ``low``."""
+    Without ``low`` it must be <f8; with ``low``, <i8 with each entry >= ``low``."""
     blob = _field(path, blobs, name)
     need = tuple(n if d is None else d for n, d in zip(blob.shape, dims))
     if blob.ndim != len(dims) or blob.shape != need:
         raise ValueError(f"{path}: {name} has shape {blob.shape}, expected {dims}")
-    if low is None:
-        return blob
-    ok = (blob == np.trunc(blob)) & (low <= blob) & (blob < 2.0**63)  # NaN fails both bounds
-    if not ok.all():
-        bad = float(blob[~ok].flat[0])
-        raise ValueError(f"{path}: bad {name!r} in checkpoint: {bad!r} is not an integer in [{low}, 2**63)")
-    return blob.astype(np.int64)
+    dtype = "<f8" if low is None else "<i8"
+    if blob.dtype != dtype:
+        raise ValueError(f"{path}: bad {name!r} in checkpoint: {blob.dtype.str} blob, {dtype} expected")
+    if low is not None and (below := blob[blob < low]).size:
+        raise ValueError(f"{path}: bad {name!r} in checkpoint: {below[0]} is not an integer in [{low}, 2**63)")
+    return blob
 
 
 def _read_checkpoint(path, names=None):

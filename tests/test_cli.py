@@ -317,24 +317,42 @@ class TestTrain:
         )
         assert [(part / name).read_bytes() for name in ("checkpoint.bin", "loss.log")] == before
 
-    def test_object_id_above_2_53_is_one_error_line(self, tmp_path, ini, capsys):
-        # a checkpoint's float64 blobs hold ids up to 2**53 exactly
+    def test_object_ids_above_2_53_train_and_resume_bit_identically(self, tmp_path, ini, capsys):
+        # ids 2**60 + 1, 2**60 + 3, ... would collide in float64; the
+        # checkpoint and the store keep them as <i8
         table, features, _ = synth_generate_full(SynthConfig(**SYNTH_KW))
         ids = [2**60 + 2 * i + 1 for i in range(len(table))]
-        d, out = tmp_path / "data", tmp_path / "run"
-        d.mkdir()
-        out.mkdir()
+        d, whole, part = tmp_path / "data", tmp_path / "whole", tmp_path / "part"
+        for path in (d, whole, part):
+            path.mkdir()
         write_manifest(
             ObjectTable([dataclasses.replace(r, object_id=oid) for r, oid in zip(table, ids)]),
             d / "manifest.tsv",
         )
         np.save(d / "features.npy", features)
-        rc, stdout, err = run(capsys, "train", "--config", ini, "--data", d, "--out", out)
-        assert (rc, stdout) == (1, "")
-        assert err.splitlines() == [
-            "error: object 1152921504606846977: a checkpoint holds object ids up to 2**53 only"
-        ]
-        assert list(out.iterdir()) == []
+        rc, _, err = run(capsys, "train", "--config", ini, "--data", d, "--out", whole)
+        assert rc == 0, err
+
+        # first three steps through the library, saved as if interrupted
+        table, _, provider = _load_data(d)
+        cfg = TrainConfig(**TRAIN_KW, loss=LossConfig(**LOSS_KW))
+        state = init_state(cfg, SYNTH_KW["feature_dim"])
+        head = [train_step(state, partition_by_scale(table, cfg.groups), provider) for _ in range(3)]
+        save_checkpoint(part / "checkpoint.bin", state)
+        (part / "loss.log").write_text("".join(l + "\n" for l in head))
+        rc, _, err = run(
+            capsys, "train", "--config", ini, "--data", d,
+            "--out", part, "--resume", part / "checkpoint.bin",
+        )
+        assert rc == 0, err
+        for name in ("loss.log", "checkpoint.bin"):
+            assert (part / name).read_bytes() == (whole / name).read_bytes()
+        assert load_checkpoint(part / "checkpoint.bin").ntable.ids.tolist() == ids
+
+        store = tmp_path / "store.bin"
+        rc, _, err = run(capsys, "embed", "--checkpoint", part / "checkpoint.bin", "--data", d, "--out", store)
+        assert rc == 0, err
+        assert EmbeddingStore.load(store).object_ids.tolist() == ids
 
     def test_neighbour_outside_the_table_is_one_error_line(self, tmp_path, ini, data_dir, capsys):
         out = tmp_path / "run"
@@ -919,34 +937,58 @@ class TestTruncatedFiles:
     @pytest.mark.parametrize("field, value", [
         ("hlen", 2**62), ("nblobs", 2**32 - 1), ("nlen", 2**16 - 1), ("ndim", 2**8 - 1),
         ("dim", 2**62), ("dim", 2**63 + 5), ("store_dim", 2**32 - 1), ("store_count", 2**62),
+        ("store_hlen", 2**62), ("store_nblobs", 2**32 - 1), ("store_nlen", 2**16 - 1),
+        ("store_ndim", 2**8 - 1),
     ])
     def test_huge_length_field(self, tmp_path, capsys, field, value):
         """A length field past the file's end is a truncation: no huge
         allocation and no integer overflow reach the user."""
         d, ckpt, store = tiny_model(tmp_path)
         capsys.readouterr()
-        offset, fmt = _length_fields(ckpt.read_bytes())[field]
-        path = store if field.startswith("store") else ckpt
+        what, name = LENGTH_FIELDS[field]
+        path = store if what == "store" else ckpt
         raw = bytearray(path.read_bytes())
+        offset, fmt = _length_fields(raw)[name]
         struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(bytes(raw))
-        what = "store" if path == store else "checkpoint"
         self._assert_truncated(capsys, path, what, _reading(what, d, ckpt, store, tmp_path))
 
 
-def _length_fields(ckpt_raw: bytes) -> dict:
-    """field -> (offset, struct format) of each length field: the
-    checkpoint's header length, blob count and first blob's name length,
-    ndim and first dim, and the store's dim and count."""
-    (hlen,) = struct.unpack_from("<Q", ckpt_raw, 8)
-    nblobs_at = 16 + hlen
-    (nlen,) = struct.unpack_from("<H", ckpt_raw, nblobs_at + 4)
-    ndim_at = nblobs_at + 6 + nlen
-    return {
-        "hlen": (8, "<Q"), "nblobs": (nblobs_at, "<I"), "nlen": (nblobs_at + 4, "<H"),
-        "ndim": (ndim_at, "<B"), "dim": (ndim_at + 1, "<Q"),
-        "store_dim": (8, "<I"), "store_count": (12, "<Q"),
-    }
+# field -> the file and the length field of ``_length_fields`` it names: the
+# checkpoint's first blob is opt.m, and the store's ids (its row count)
+# come before its vectors (rows x width)
+LENGTH_FIELDS = {
+    "hlen": ("checkpoint", "hlen"), "nblobs": ("checkpoint", "nblobs"),
+    "nlen": ("checkpoint", "opt.m nlen"), "ndim": ("checkpoint", "opt.m ndim"),
+    "dim": ("checkpoint", "opt.m dim 0"),
+    "store_hlen": ("store", "hlen"), "store_nblobs": ("store", "nblobs"),
+    "store_nlen": ("store", "ids nlen"), "store_ndim": ("store", "ids ndim"),
+    "store_count": ("store", "ids dim 0"), "store_dim": ("store", "vectors dim 1"),
+}
+
+
+def _length_fields(raw: bytes) -> dict:
+    """field -> (offset, struct format) of each length field of a
+    container: its header length, its blob count, and each blob's name
+    length, ndim and dims, as "<blob> nlen", "<blob> ndim" and
+    "<blob> dim <i>"."""
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    at = 16 + hlen
+    (nblobs,) = struct.unpack_from("<I", raw, at)
+    fields = {"hlen": (8, "<Q"), "nblobs": (at, "<I")}
+    at += 4
+    for _ in range(nblobs):
+        (nlen,) = struct.unpack_from("<H", raw, at)
+        name = bytes(raw[at + 2 : at + 2 + nlen]).decode()
+        itemsize = int(bytes(raw[at + 4 + nlen : at + 5 + nlen]))  # the 8 of b"<f8"
+        fields[f"{name} nlen"] = (at, "<H")
+        at += 5 + nlen
+        (ndim,) = struct.unpack_from("<B", raw, at)
+        dims = struct.unpack_from(f"<{ndim}Q", raw, at + 1)
+        fields[f"{name} ndim"] = (at, "<B")
+        fields.update({f"{name} dim {i}": (at + 1 + 8 * i, "<Q") for i in range(ndim)})
+        at += 1 + 8 * ndim + math.prod(dims) * itemsize
+    return fields
 
 
 class TestFileHeads:
@@ -1042,7 +1084,7 @@ class TestStoreRows:
         d, ckpt, store = tiny_model(tmp_path)
         capsys.readouterr()
         full = EmbeddingStore.load(store)
-        EmbeddingStore(full.vectors[:3], full.object_ids[:3]).save(store)
+        EmbeddingStore(full.vectors[:3], full.object_ids[:3], full.manifest_sha256).save(store)
         common = ["--checkpoint", ckpt, "--data", d, "--store", store]
         if command == "eval":
             argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
@@ -1055,44 +1097,101 @@ class TestStoreRows:
         assert not (tmp_path / "r.tsv").exists()
 
 
+class TestStoreOfItsCorpus:
+    """A store records the sha256 of the manifest it embedded, and its ids
+    are <i8; eval and query reject another corpus, and a store with a
+    negative id, in one line naming the store, before any query."""
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_another_corpus_with_the_same_ids(self, trained, tmp_path, ini, capsys, command):
+        _, ckpt, store = trained
+        other = tmp_path / "other"
+        other.mkdir()
+        assert run(capsys, "synth", "--config", ini, "--seed", 4, "--out", other)[0] == 0
+        assert read_manifest(other / "manifest.tsv").ids.tolist() == list(range(SYNTH_KW["n_objects"]))
+        common = ["--checkpoint", ckpt, "--data", other, "--store", store]
+        if command == "eval":
+            argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
+        else:
+            _, image_id, *bbox = (other / "manifest.tsv").read_text().splitlines()[0].split("\t")[:6]
+            argv = ["query", *common, "--query-image", image_id, "--query-bbox", ",".join(bbox)]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == [f"error: {store}: store was not embedded from the manifest in {other}"]
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_a_copy_of_the_corpus_is_its_corpus(self, trained, tmp_path, capsys):
+        data_dir, ckpt, store = trained
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        (copy / "manifest.tsv").write_bytes((data_dir / "manifest.tsv").read_bytes())
+        rc, _, err = run(
+            capsys, "eval", "--checkpoint", ckpt, "--data", copy, "--store", store,
+            "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv", "--max-queries", 3,
+        )
+        assert rc == 0, err
+
+    def test_negative_id_is_a_damaged_store(self, trained, tmp_path, capsys):
+        data_dir, ckpt, store = trained
+        raw = bytearray(store.read_bytes())
+        offset, _ = _length_fields(raw)["ids dim 0"]
+        # the last id's bytes set to those of 2**64 - 7, which <i8 reads as -7
+        struct.pack_into("<Q", raw, offset + 8 * SYNTH_KW["n_objects"], 2**64 - 7)
+        store.write_bytes(bytes(raw))
+        rc, out, err = run(
+            capsys, "eval", "--checkpoint", ckpt, "--data", data_dir, "--store", store,
+            "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv",
+        )
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == [f"error: {store}: damaged store"]
+
+
 # blob -> the blobs that give a tiny-model checkpoint that blob in a shape
 # its config (two wide, two clusters) or its neighbour ids do not allow
 WRONG_SHAPE = {
     "opt.m": lambda b: {"opt.m": b["opt.m"][:-5]},
     "opt.v": lambda b: {"opt.v": b["opt.v"][:-5]},
-    "bank.centroids": lambda b: {"bank.centroids": np.zeros((2, 3)), "bank.step": np.array(0.0)},
+    "bank.centroids": lambda b: {"bank.centroids": np.zeros((2, 3)), "bank.step": np.array(0)},
     "nt.rows": lambda b: {
-        "nt.ids": np.arange(4.0), "nt.rows": np.zeros((3, 1)), "nt.step": np.array(0.0)
+        "nt.ids": np.arange(4), "nt.rows": np.zeros((3, 1), dtype=np.int64), "nt.step": np.array(0)
     },
 }
 
 
-# case -> the blob and its entry that is not an integer (or, in the
-# neighbour rows, lies below their -1 padding), written into a tiny-model
-# checkpoint that then has a bank and a neighbour table
-NOT_INTEGRAL = {
+# case -> an integer blob and its first entry, written into a tiny-model
+# checkpoint that then has a bank and a neighbour table: a float entry
+# writes the blob as <f8, and an integer one lies below the blob's range
+# (below the -1 padding of the neighbour rows)
+NOT_INT64 = {
     "nt.rows 1.5": ("nt.rows", 1.5),
     "nt.rows nan": ("nt.rows", math.nan),
-    "nt.rows -2": ("nt.rows", -2.0),
+    "nt.rows -2": ("nt.rows", -2),
     "nt.ids inf": ("nt.ids", math.inf),
+    "nt.ids -1": ("nt.ids", -1),
     "nt.step 0.5": ("nt.step", 0.5),
+    "nt.step -1": ("nt.step", -1),
     "opt.t 2.7": ("opt.t", 2.7),
+    "opt.t -1": ("opt.t", -1),
     "bank.step 2**63": ("bank.step", 2.0**63),
+    "bank.step -1": ("bank.step", -1),
 }
 
 
 def _damage(path, case) -> str:
     """Rewrite a valid checkpoint with one field damaged; returns the field."""
     header, blobs = read_container(path)
-    if case in NOT_INTEGRAL:
-        name, value = NOT_INTEGRAL[case]
+    if case in NOT_INT64:
+        name, value = NOT_INT64[case]
         blobs.update({
-            "bank.centroids": np.zeros((2, 2)), "bank.step": np.array(0.0),
-            "nt.ids": np.arange(4.0), "nt.rows": np.array([[1.0], [0.0], [3.0], [2.0]]),
-            "nt.step": np.array(0.0),
+            "bank.centroids": np.zeros((2, 2)), "bank.step": np.array(0),
+            "nt.ids": np.arange(4), "nt.rows": np.array([[1], [0], [3], [2]]),
+            "nt.step": np.array(0),
         })
+        blobs[name] = np.asarray(blobs[name], dtype=type(value))
         blobs[name].flat[0] = value
         write_container(path, header, blobs)
+        if isinstance(value, float):
+            return f"bad {name!r} in checkpoint: <f8 blob, <i8 expected"
         return f"bad {name!r} in checkpoint: {value!r} is not an integer"
     if case == "missing blob":
         del blobs["opt.m"]
@@ -1130,7 +1229,7 @@ class TestDamagedCheckpoint:
         assert field in line
 
     @pytest.mark.parametrize(
-        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE, *NOT_INTEGRAL]
+        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE, *NOT_INT64]
     )
     def test_rejected_in_one_line_naming_file_and_field(self, tmp_path, capsys, case):
         d, ckpt, _ = tiny_model(tmp_path)

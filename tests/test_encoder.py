@@ -6,6 +6,7 @@ import pytest
 from groupvec import encoder
 from groupvec.checkpoint import read_container, write_container
 from groupvec.encoder import EncoderConfig, Params, StudentNet, TeacherNet, ema_update
+from groupvec.retrieval import EmbeddingStore
 
 from _oracles import ema_update_per_name
 
@@ -200,8 +201,9 @@ def test_container_round_trip_is_byte_exact(tmp_path):
     header = {"arch.feature_dim": "6", "step": "12", "note": "a b = c"}
     blobs = {
         "student.trunk0.w": rng.normal(size=(6, 16)),
-        "opt.t": np.array(3.0),
-        "ids": np.arange(5, dtype=np.float64),
+        "opt.t": np.array(3),
+        "ids": 2**60 + np.arange(5),
+        "rows": rng.normal(size=(2, 3)).astype(np.float32),
     }
     p1 = tmp_path / "a.msg1"
     p2 = tmp_path / "b.msg1"
@@ -209,9 +211,18 @@ def test_container_round_trip_is_byte_exact(tmp_path):
     h, b = read_container(p1)
     assert h == header
     for k in blobs:
-        assert np.array_equal(np.asarray(blobs[k], dtype=np.float64), b[k])
+        assert b[k].dtype == blobs[k].dtype
+        assert np.array_equal(blobs[k], b[k])
     write_container(p2, h, b)
     assert p1.read_bytes() == p2.read_bytes()
+    # a store is the same container
+    store = tmp_path / "s.store"
+    EmbeddingStore(b["rows"], b["ids"][:2], "ab" * 32).save(store)
+    h, b = read_container(store, what="store")
+    assert h == {"format": "embedding-store", "manifest_sha256": "ab" * 32}
+    assert {k: v.dtype.str for k, v in b.items()} == {"ids": "<i8", "vectors": "<f4"}
+    write_container(p2, h, b)
+    assert p2.read_bytes() == store.read_bytes()
 
 
 def test_container_writes_any_layout_as_its_contiguous_copy(tmp_path):
@@ -243,7 +254,7 @@ def test_container_rejects_a_shape_numpy_cannot_make(tmp_path, names, dims):
     path = tmp_path / "c.msg1"
     write_container(path, {"k": "v"}, {"empty": np.zeros((0, 3)), "other": np.ones(2)})
     raw = bytearray(path.read_bytes())
-    at = raw.index(b"empty") + len(b"empty") + 1  # past the name and ndim
+    at = raw.index(b"empty") + len(b"empty<f8") + 1  # past the name, dtype and ndim
     raw[at : at + 16] = struct.pack("<2Q", *dims)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"^{path}: damaged checkpoint$"):
@@ -255,3 +266,34 @@ def test_container_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="MSG1 expected"):
         read_container(p)
+
+
+@pytest.mark.parametrize("what", ["checkpoint", "store"])
+def test_container_has_no_version_1_reader(tmp_path, what):
+    p = tmp_path / "old.msg1"
+    write_container(p, {"k": "v"}, {"x": np.ones(2)})
+    raw = bytearray(p.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{p}: unsupported {what} version 1$"):
+        read_container(p, what=what)
+
+
+@pytest.mark.parametrize("names", [None, ["other"]], ids=["read", "skipped"])
+@pytest.mark.parametrize("dtype", [b"<u8", b">f8", b"<f2", b"\xff\xff\xff"])
+def test_container_rejects_another_dtype(tmp_path, names, dtype):
+    path = tmp_path / "c.msg1"
+    write_container(path, {"k": "v"}, {"ids": np.arange(3), "other": np.ones(2)})
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"ids<i8", b"ids" + dtype))
+    with pytest.raises(ValueError, match=f"^{path}: damaged checkpoint$"):
+        read_container(path, names)
+
+
+@pytest.mark.parametrize("arr", [np.arange(3, dtype=np.uint64), np.zeros(2, dtype=bool),
+                                 np.zeros(2, dtype=np.float16), np.arange(3, dtype=np.int32)])
+def test_container_writes_only_its_three_dtypes(tmp_path, arr):
+    path = tmp_path / "c.msg1"
+    with pytest.raises(ValueError, match=r"^blob 'x': dtype \w+ is not <f4, <f8 or <i8$"):
+        write_container(path, {}, {"x": arr})
+    assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ import pytest
 
 from groupvec import backends, retrieval
 from groupvec.backends import _BLOCK_ELEMS
+from groupvec.checkpoint import read_container, write_container
 from groupvec.data import (
     ObjectRecord,
     ObjectTable,
@@ -92,17 +93,22 @@ def test_store_header_layout(tmp_path):
     path = tmp_path / "s.bin"
     store.save(path)
     raw = path.read_bytes()
-    assert raw[:4] == b"MSE1"
-    version, dim = struct.unpack("<II", raw[4:12])
-    (count,) = struct.unpack("<Q", raw[12:20])
-    assert (version, dim, count) == (1, 2, 3)
-    assert len(raw) == 20 + 3 * 2 * 4 + 3 * 8
+    assert raw[:4] == b"MSG1"
+    version, hlen = struct.unpack("<IQ", raw[4:16])
+    header = b"format = embedding-store\nmanifest_sha256 = \n"
+    assert (version, hlen, raw[16 : 16 + hlen]) == (2, len(header), header)
+    at = 16 + hlen
+    assert raw[at : at + 4] == struct.pack("<I", 2)
+    ids = struct.pack("<H", 3) + b"ids<i8" + struct.pack("<BQ", 1, 3)
+    vectors = struct.pack("<H", 7) + b"vectors<f4" + struct.pack("<B2Q", 2, 3, 2)
+    assert raw[at + 4 :] == (ids + store.object_ids.astype("<i8").tobytes()
+                             + vectors + store.vectors.astype("<f4").tobytes())
 
 
 def test_store_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="MSE1 expected"):
+    with pytest.raises(ValueError, match="bad store magic b'NOPE': MSG1 expected"):
         EmbeddingStore.load(path)
 
 
@@ -131,9 +137,59 @@ def test_store_rejects_a_row_count_numpy_cannot_make(tmp_path):
     # 2**63 rows of width 0 are 0 bytes, so the length check passes
     path = tmp_path / "s.bin"
     random_store(np.random.default_rng(4), n=0, dim=0).save(path)
-    raw = bytearray(path.read_bytes())
-    raw[12:20] = struct.pack("<Q", 2**63 + 5)
-    path.write_bytes(bytes(raw))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"vectors<f4" + struct.pack("<BQ", 2, 0),
+                                 b"vectors<f4" + struct.pack("<BQ", 2, 2**63 + 5)))
+    with pytest.raises(ValueError, match=f"^{path}: damaged store$"):
+        EmbeddingStore.load(path)
+
+
+def _rewritten(path, header=(), **blobs):
+    """Rewrite the store at ``path`` with entries of its header and its
+    blobs replaced; an entry given as None is left out."""
+    head, old = read_container(path, what="store")
+    head.update(header)
+    old.update(blobs)
+    write_container(path, {k: v for k, v in head.items() if v is not None},
+                    {k: v for k, v in old.items() if v is not None})
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param({"ids": np.array([0, 1, 2**63 - 1, -7])}, id="negative id"),
+    pytest.param({"ids": np.arange(4.0)}, id="ids <f8"),
+    pytest.param({"ids": np.arange(4, dtype=np.int64).reshape(2, 2)}, id="ids 2-D"),
+    pytest.param({"ids": np.arange(3)}, id="ids too few"),
+    pytest.param({"ids": np.array([0, 1, 1, 2])}, id="ids repeated"),
+    pytest.param({"ids": None}, id="no ids"),
+    pytest.param({"vectors": np.zeros((4, 2))}, id="vectors <f8"),
+    pytest.param({"vectors": np.zeros(4, dtype=np.float32)}, id="vectors 1-D"),
+    pytest.param({"vectors": None}, id="no vectors"),
+])
+def test_store_rejects_damaged_blobs_in_one_line(tmp_path, damage):
+    path = tmp_path / "s.bin"
+    random_store(np.random.default_rng(5), n=4, dim=2).save(path)
+    _rewritten(path, **damage)
+    with pytest.raises(ValueError, match=f"^{path}: damaged store$"):
+        EmbeddingStore.load(path)
+
+
+@pytest.mark.parametrize("header", [{"format": "train-state"}, {"format": None}])
+def test_a_file_that_is_not_a_store(tmp_path, header):
+    path = tmp_path / "s.bin"
+    random_store(np.random.default_rng(6), n=2, dim=2).save(path)
+    _rewritten(path, header)
+    with pytest.raises(ValueError, match=f"^{path}: not an embedding store$"):
+        EmbeddingStore.load(path)
+
+
+def test_store_records_its_manifest_digest(tmp_path):
+    path = tmp_path / "s.bin"
+    vec = np.zeros((2, 3), dtype=np.float32)
+    EmbeddingStore(vec, np.array([2**62, 5]), "0f" * 32).save(path)
+    back = EmbeddingStore.load(path)
+    assert back.manifest_sha256 == "0f" * 32
+    assert back.object_ids.tolist() == [2**62, 5]
+    _rewritten(path, {"manifest_sha256": None})
     with pytest.raises(ValueError, match=f"^{path}: damaged store$"):
         EmbeddingStore.load(path)
 
@@ -318,7 +374,7 @@ def test_store_holds_one_array_and_rank_reads_it(monkeypatch):
     # rounded to float32 once, when the store is made, and kept as float64
     assert store.vectors.dtype == np.float64
     assert np.array_equal(store.vectors, rows.astype(np.float32).astype(np.float64))
-    assert [name for name in vars(store) if name != "object_ids"] == ["vectors"]
+    assert [name for name in vars(store) if name not in ("object_ids", "manifest_sha256")] == ["vectors"]
     seen = []
 
     def cross_sqdist(x, c):
