@@ -3,8 +3,10 @@
 The losses, the refresh (kNN table, k-means) and search compute their
 distances here.  Everything is float64 in, float64 out.  Every exact
 squared distance is ``cross_sqdist``, its triangle ``self_sqdist`` or its
-entries for chosen pairs ``paired_sqdist``; the Gram form gives distances
-only in ``assign_nearest``.
+entries for chosen pairs ``paired_sqdist``.  The Gram form
+``gram_sqdist`` gives distances only in ``assign_nearest``; the refresh's
+screens take it with ``gram_slack``, a proven bound on its distance from
+the exact sums, so that they stay exact.
 """
 
 import numpy as np
@@ -147,9 +149,10 @@ def assign_nearest(x, c, kept=None, moved=None):
     """Index of the nearest row of c for each row of x, plus that squared
     distance. Ties go to the lowest centroid index.
 
-    The distances take the Gram form ``|x|^2 + |c|^2 - 2 x.c``, the only
-    place the program does: k-means assigns 2000 rows to 100 centroids at
-    512-d in one GEMM, about 14 times faster than the exact sums.
+    The distances take the Gram form ``gram_sqdist``, clipped at 0, the
+    only place the program does: k-means assigns 2000 rows to 100
+    centroids at 512-d in one GEMM, about 14 times faster than the exact
+    sums.
 
     A caller that assigns the same x to successive centroids passes one
     ``KeptDistances`` as ``kept``, which the first call fills.  A later
@@ -163,22 +166,45 @@ def assign_nearest(x, c, kept=None, moved=None):
     if kept.x_sq is None:
         kept.x_sq = row_sqnorms(x)
     if kept.sq is None or moved is None or _whole_product(n, m, len(moved)):
-        kept.sq = _gram_sqdist(x, kept.x_sq, c)
+        kept.sq = gram_sqdist(x, kept.x_sq, c, row_sqnorms(c))
+        np.maximum(kept.sq, 0.0, out=kept.sq)
     else:
-        kept.sq[:, moved] = _gram_sqdist(x, kept.x_sq, c[moved])
+        part = gram_sqdist(x, kept.x_sq, c[moved], row_sqnorms(c[moved]))
+        kept.sq[:, moved] = np.maximum(part, 0.0, out=part)
     sq = kept.sq
     labels = np.argmin(sq, axis=1)
     return labels.astype(np.int64), sq[np.arange(n), labels]
 
 
-def _gram_sqdist(x, x_sq, c):
-    """The Gram form of the squared distances, given the squared norms of x,
-    in place through two (n, L) arrays."""
-    prod = x @ c.T
-    prod *= 2.0
-    sq = np.add.outer(x_sq, row_sqnorms(c))
-    sq -= prod
-    return np.maximum(sq, 0.0, out=sq)
+def gram_sqdist(x, x_sq, y, y_sq):
+    """The Gram form ``|x|^2 + |y|^2 - 2 x.y`` of the squared distances of
+    the rows of x (n,d) to the rows of y (m,d), given their squared norms,
+    in place through two (n, m) arrays.  Not clipped: it may fall below 0,
+    or hold a non-finite value where the norms overflow; ``gram_slack``
+    bounds its distance from ``cross_sqdist``."""
+    sq = x @ y.T
+    sq *= -2.0
+    sq += np.add.outer(x_sq, y_sq)
+    return sq
+
+
+def gram_slack(x_sq, y_sq, dim):
+    """Bound on the gap between each ``gram_sqdist`` value of rows with
+    squared norms ``x_sq`` and ``y_sq`` and ``dim`` columns, and the exact
+    sum ``cross_sqdist`` gives: a row whose Gram distance minus this slack
+    exceeds a threshold has an exact distance above it."""
+    # With unit roundoff u = eps/2, each squared norm and the dot product
+    # is off by at most D u total (any summation order, fused or not), the
+    # two final additions by 2 u (2 total), and the exact per-row sum by
+    # (D + 2) u (2 total): (2 D + 4) eps total in all.  Every underflowing
+    # product adds at most one smallest subnormal, 5 D of them.  The factor
+    # 8 covers the second-order terms and the rounding of the slack itself.
+    f64 = np.finfo(np.float64)
+    slack = np.add.outer(x_sq, y_sq)
+    slack *= f64.eps
+    slack += f64.smallest_subnormal
+    slack *= 8.0 * (dim + 4)
+    return slack
 
 
 def _whole_product(n, m, k):

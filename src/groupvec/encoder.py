@@ -138,6 +138,12 @@ class StudentNet:
                 net.params.view(f"head_{head}{m}.b")[:] = net.params.view(f"head_{head}0.b")
         return net
 
+    def head_embed(self, x: np.ndarray, group: int) -> np.ndarray:
+        """Embed a block of inputs through the trunk and the group's h head
+        alone: ``forward(x, group)[0]`` to the bit, without the l head."""
+        _check_group(self.cfg, group)
+        return _affine(self.params, f"head_h{group}", _trunk(self.params, self.cfg, x)[0][-1])
+
     def forward(self, x: np.ndarray, group: int):
         """Embed a block of inputs through the trunk and group's head pair."""
         f_h, f_l, _ = self.forward_cached(x, group)
@@ -195,10 +201,8 @@ class TeacherNet:
         """Wide reference embedding; no gradient path exists through it."""
         return _affine(self.params, "proj", _trunk(self.params, self.cfg, x)[0][-1])
 
-    def head_embed(self, x: np.ndarray, group: int) -> np.ndarray:
-        """Group-head embedding from the teacher's EMA-tracked h head."""
-        _check_group(self.cfg, group)
-        return _affine(self.params, f"head_h{group}", _trunk(self.params, self.cfg, x)[0][-1])
+    # the group-head embedding, through the teacher's EMA-tracked h head
+    head_embed = StudentNet.head_embed
 
 
 # Elements per block of the EMA pass, as in the optimizer's update.

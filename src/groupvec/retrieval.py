@@ -103,7 +103,7 @@ def embed_all(
     for m in range(groups.k):
         rows = groups.group_rows(m)
         if rows.size:
-            out[rows] = student.forward(feats[rows], m)[0]
+            out[rows] = student.head_embed(feats[rows], m)
     return EmbeddingStore(vectors=out, object_ids=table.ids.copy(), manifest_sha256=manifest_sha256)
 
 
@@ -120,7 +120,7 @@ def embed_query(
     area equal to a later group's first area routes to that group.
     """
     m = groups.route_area(area)
-    return student.forward(np.asarray(feature, dtype=np.float64)[None, :], m)[0][0]
+    return student.head_embed(np.asarray(feature, dtype=np.float64)[None, :], m)[0]
 
 
 def rank(store: EmbeddingStore, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

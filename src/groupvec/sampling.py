@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import KeptDistances, assign_nearest, cross_sqdist, paired_sqdist, row_sqnorms
+from .backends import (KeptDistances, assign_nearest, cross_sqdist, gram_slack, gram_sqdist,
+                       paired_sqdist, row_sqnorms)
 from .data import ScaleGroups
 from .encoder import TeacherNet
 from .forked import Child, usable_cpus
@@ -65,12 +66,13 @@ def _farthest_point_init(f: np.ndarray, n_clusters: int, rng: np.random.Generato
     """Farthest-point seeding: each new centre is the row farthest from the
     centres so far (ties to the lowest index).
 
-    Only the rows whose lower ``_gram_bounds`` to a new centre do not exceed
-    their current minimum can lower it, so only those are measured with
-    ``cross_sqdist``: the minima are those of measuring every row, to the
-    bit.  The bounds come from ``_screen_columns``, whose one Gram product
-    also screens the likeliest later centres.  Every row is measured when
-    a centre's screened column is not finite."""
+    Only the rows whose lower bound to a new centre, its ``gram_sqdist``
+    less its ``gram_slack``, does not exceed their current minimum can
+    lower it, so only those are measured with ``cross_sqdist``: the minima
+    are those of measuring every row, to the bit.  The bounds come from
+    ``_screen_columns``, whose one Gram product also screens the likeliest
+    later centres.  Every row is measured when a centre's screened column
+    is not finite."""
     first = int(rng.integers(f.shape[0]))
     # allocated before any screen, so that the long-lived centres do not
     # land above the screens' temporaries in the heap
@@ -102,8 +104,9 @@ _SCREEN_BATCH = 16
 def _screen_columns(f: np.ndarray, sq: np.ndarray, mind: np.ndarray, centre: int) -> dict:
     """Screen every row of ``f`` against ``centre`` and the ``_SCREEN_BATCH``
     rows with the largest ``mind`` in one Gram product.  By row screened:
-    the rows whose lower ``_gram_bounds`` does not exceed ``mind``, with
-    those bounds, or None where the bounds hold a non-finite value.
+    the rows whose lower bound, ``gram_sqdist`` less ``gram_slack``, does
+    not exceed ``mind``, with those bounds, or None where the bounds hold a
+    non-finite value.
 
     ``mind`` only falls, so a row left out here stays out when the row
     becomes a centre later.  The slack bounds any summation order, so a
@@ -111,7 +114,9 @@ def _screen_columns(f: np.ndarray, sq: np.ndarray, mind: np.ndarray, centre: int
     alone."""
     top = np.argpartition(mind, -min(_SCREEN_BATCH, mind.size))[-_SCREEN_BATCH:]
     batch = np.append(top, centre)
-    lower = _gram_lower(f, sq, f[batch], sq[batch])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = gram_sqdist(f, sq, f[batch], sq[batch])
+        lower -= gram_slack(sq, sq[batch], f.shape[1])
     screen = dict.fromkeys(batch.tolist())
     for col in np.flatnonzero(np.isfinite(lower).all(axis=0)):
         near = np.flatnonzero(lower[:, col] <= mind)
@@ -215,10 +220,10 @@ def knn_table(
 
     Distances are ``backends.cross_sqdist``'s per-pair sums.  A group is
     first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
-    whose rounding error has a proven bound (the slack); only rows within
-    the slack of the k-th screened distance are measured exactly, all of a
-    group's candidate pairs in one ``paired_sqdist`` pass, so the table
-    equals a full sort of (distance, id).
+    whose rounding error has a proven bound (``backends.gram_slack``); only
+    rows within the slack of the k-th screened distance are measured
+    exactly, all of a group's candidate pairs in one ``paired_sqdist``
+    pass, so the table equals a full sort of (distance, id).
     """
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -255,60 +260,19 @@ def _knn_candidates(sub: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]
     screened value keeps every row.
     """
     sq = row_sqnorms(sub)
-    bounds = _gram_bounds(sub, sq, sub, sq)
-    if bounds is None:
-        keep = np.ones((len(sub), len(sub)), dtype=bool)
-    else:
-        lower, upper = bounds
-        np.fill_diagonal(upper, np.inf)
-        kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
-        keep = lower <= kth[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = gram_sqdist(sub, sq, sub, sq)
+        if np.isfinite(approx).all():
+            slack = gram_slack(sq, sq, sub.shape[1])
+            upper = approx + slack
+            np.fill_diagonal(upper, np.inf)
+            kth = np.partition(upper, take - 1, axis=1)[:, take - 1]
+            approx -= slack
+            keep = approx <= kth[:, None]
+        else:
+            keep = np.ones((len(sub), len(sub)), dtype=bool)
     np.fill_diagonal(keep, False)
     return np.nonzero(keep)
-
-
-def _gram_bounds(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y: np.ndarray):
-    """The screened distances ``|x|^2 + |y|^2 - 2 x.y`` of the rows of ``x``
-    to the rows of ``y``, from their squared norms, minus and plus
-    ``_gram_slack``: bounds on the exact distances.  None when a screened
-    value is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.outer(sq_x, sq_y)
-        approx = total - 2.0 * (x @ y.T)
-        if not np.isfinite(approx).all():
-            return None
-        slack = _gram_slack(total, x.shape[1])
-        return approx - slack, approx + slack
-
-
-def _gram_lower(x, sq_x, y, sq_y) -> np.ndarray:
-    """The lower ``_gram_bounds`` alone, non-finite where a screened value
-    is, computed in the Gram product with one temporary of its shape."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower = x @ y.T
-        lower *= -2.0
-        total = np.add.outer(sq_x, sq_y)
-        lower += total
-        lower -= _gram_slack(total, x.shape[1], out=total)
-    return lower
-
-
-def _gram_slack(total: np.ndarray, dim: int, out=None) -> np.ndarray:
-    """Bound on the gap between a screened distance ``|x|^2 + |y|^2 - 2 x.y``
-    (``total = |x|^2 + |y|^2``, ``dim`` columns) and the exact sum
-    ``cross_sqdist`` gives; a row whose screened distance minus this
-    slack exceeds a threshold has an exact distance above it."""
-    # With unit roundoff u = eps/2, each squared norm and the dot product
-    # is off by at most D u total (any summation order, fused or not), the
-    # two final additions by 2 u (2 total), and the exact per-row sum by
-    # (D + 2) u (2 total): (2 D + 4) eps total in all.  Every underflowing
-    # product adds at most one smallest subnormal, 5 D of them.  The factor
-    # 8 covers the second-order terms and the rounding of the slack itself.
-    f64 = np.finfo(np.float64)
-    slack = np.multiply(total, f64.eps, out=out)
-    slack += f64.smallest_subnormal
-    slack *= 8.0 * (dim + 4)
-    return slack
 
 
 def assemble_batch(

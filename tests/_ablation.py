@@ -16,8 +16,8 @@ from groupvec.data import (
     partition_by_scale,
     synth_generate,
 )
-from groupvec.metrics import EvalConfig, GroundTruth, mean_ap
-from groupvec.retrieval import embed_all, query
+from groupvec.metrics import LEVELS, EvalConfig, GroundTruth, ScaleReport
+from groupvec.retrieval import embed_all, rank
 from groupvec.train import TrainConfig, train
 
 EVAL_FRACTION = 0.25
@@ -72,7 +72,10 @@ def arm_config(arm: str, steps: int, seed: int, **overrides) -> TrainConfig:
 
 
 def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries, provider) -> float:
-    """Train one arm and return held-out object-level mAP."""
+    """Train one arm and return held-out object-level mAP, scored as
+    ``groupvec eval`` scores: each query ranks the store with its own row,
+    and a ``ScaleReport`` scores the ranking's gallery rows.  The mean is
+    over the queries with an AP, in query order."""
     state, _ = train(train_cfg, train_table, provider)
     trained = partition_by_scale(train_table, train_cfg.groups)
     assignment = np.array(
@@ -81,13 +84,15 @@ def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries,
     eval_groups = ScaleGroups(train_cfg.groups, assignment, trained.boundaries, eval_table)
     store = embed_all(state.student, eval_table, provider, eval_groups)
     gt = GroundTruth.from_table(eval_table)
+    gallery_rows = gt.rows_of(store.object_ids)
+    scores = ScaleReport(gt, EvalConfig())
     # a held-out query is a store object: its embedding is its own row
     row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
-    results = [
-        query(store, store.vectors[row_of[qid]], topk=store.count, table=eval_table, query_id=qid)
-        for qid in queries
-    ]
-    return mean_ap(results, gt, EvalConfig(), "object")
+    for qid in queries:
+        scores.add(qid, gallery_rows[rank(store, store.vectors[row_of[qid]])[0]])
+    level = LEVELS.index("object")
+    aps = [ap for _, by_level in scores.scored if (ap := by_level[level][1]) is not None]
+    return sum(aps) / len(aps)
 
 
 def arm_map(corpus_seed: int, arm: str, steps: int, train_seed: int, synth_cfg=None, **overrides) -> float:

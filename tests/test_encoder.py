@@ -37,6 +37,8 @@ def test_group_out_of_range():
     with pytest.raises(ValueError):
         net.forward(np.zeros((1, 6)), 2)
     with pytest.raises(ValueError, match="group index"):
+        net.head_embed(np.zeros((1, 6)), 2)
+    with pytest.raises(ValueError, match="group index"):
         TeacherNet.from_student(net, seed=5).head_embed(np.zeros((1, 6)), CFG.groups)
 
 
@@ -68,6 +70,8 @@ def test_teacher_width_and_trunk_match():
     sh, _ = net.forward(x, 0)
     th = teacher.head_embed(x, 0)
     assert np.allclose(sh, th, atol=0, rtol=0)
+    # the student's h head alone, to the bit of its head pair
+    assert np.array_equal(net.head_embed(x, 0), sh)
 
 
 def test_gradients_match_finite_differences():

@@ -1,5 +1,5 @@
-"""The distance kernels: gradients, tie-breaks, coincident rows and the
-Gram form of k-means assignment.
+"""The distance kernels: gradients, tie-breaks, coincident rows, the
+Gram form of k-means assignment and the slack that bounds its rounding.
 
 Tie cases are built from small integers, so the arithmetic is exact and
 rounding cannot decide the tie.  The blocked exact kernels are checked
@@ -49,6 +49,49 @@ def test_assign_nearest_gram_form_matches_exact_sum():
     assert (kept.sq >= 0).all()
     assert np.allclose(kept.sq, want, rtol=1e-12, atol=1e-10)
     assert np.array_equal(own, kept.sq[np.arange(1500), labels])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_gram_sqdist_is_the_gram_form_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for (n, m, d), scale in (((1, 1, 1), 1.0), ((37, 5, 64), 1e150), ((200, 17, 512), 1.0)):
+        x, y = rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale + 1e4
+        x_sq, y_sq = backends.row_sqnorms(x), backends.row_sqnorms(y)
+        want = np.add.outer(x_sq, y_sq) - 2 * (x @ y.T)
+        assert np.array_equal(_bits(backends.gram_sqdist(x, x_sq, y, y_sq)), _bits(want))
+
+
+# duplicated y rows: row i of y is row DUPLICATES[i] of x
+DUPLICATES = [0, 0, 7, 49]
+
+
+def _gram_rows(kind, rng):
+    x, y = rng.normal(size=(50, 40)), rng.normal(size=(12, 40))
+    if kind == "offset":
+        return x + 1e4, y + 1e4
+    if kind == "duplicate":
+        return x + 1e4, x[DUPLICATES] + 1e4
+    if kind == "subnormal":
+        return x * 1e-160, y * 1e-160
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["random", "offset", "duplicate", "subnormal"])
+def test_gram_slack_bounds_the_exact_sum(kind):
+    x, y = _gram_rows(kind, np.random.default_rng(22))
+    x_sq, y_sq = backends.row_sqnorms(x), backends.row_sqnorms(y)
+    gram = backends.gram_sqdist(x, x_sq, y, y_sq)
+    slack = backends.gram_slack(x_sq, y_sq, x.shape[1])
+    exact = backends.cross_sqdist(x, y)
+    assert (gram - slack <= exact).all() and (exact <= gram + slack).all()
+    if kind != "random":
+        # the Gram form rounds away from the exact sums here
+        assert (gram != exact).any()
+    if kind == "duplicate":
+        assert (exact[DUPLICATES, range(len(DUPLICATES))] == 0.0).all()
 
 
 def test_pairwise_dist_diagonal_and_symmetry():

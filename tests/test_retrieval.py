@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from groupvec import backends, retrieval
+from groupvec import backends, encoder, retrieval
 from groupvec.backends import _BLOCK_ELEMS
 from groupvec.checkpoint import read_container, write_container
 from groupvec.data import (
@@ -399,6 +399,21 @@ def test_embed_all_routes_rows_through_own_group(corpus):
         m = int(groups.assignment[row])
         f_h, _ = student.forward(feats[row : row + 1], m)
         assert np.array_equal(store.vectors[row], f_h[0].astype(np.float32))
+
+
+def test_embed_all_and_embed_query_compute_only_the_h_head(corpus, monkeypatch):
+    table, provider, groups, student = corpus
+    heads = []
+    affine = encoder._affine
+
+    def recording(params, name, a):
+        heads.append(name)
+        return affine(params, name, a)
+
+    monkeypatch.setattr(encoder, "_affine", recording)
+    embed_all(student, table, provider, groups)
+    embed_query(student, groups, provider.base_features(table.ids[:1])[0], 1.0)
+    assert {h for h in heads if h.startswith("head")} == {f"head_h{m}" for m in range(groups.k)}
 
 
 def test_embed_all_is_deterministic_and_file_stable(corpus, tmp_path):
