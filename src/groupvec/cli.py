@@ -244,26 +244,23 @@ def _parse_bbox(text: str):
         x, y, w, h = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"--query-bbox: {exc}") from exc
-    if w <= 0 or h <= 0:
-        raise UsageError("--query-bbox width and height must be positive")
+    if not (np.isfinite((x, y, w, h)).all() and w > 0 and h > 0):
+        raise UsageError(f"--query-bbox must be finite with a positive width and height, got {text!r}")
     return x, y, w, h
 
 
-def _load_store(path, checkpoint, data_dir, query_ids: list[int]):
+def _load_store(path, checkpoint, data_dir, table):
     """The store at ``path``, whose width must be the checkpoint's and
-    whose manifest must be the corpus's, and the row of each query id in
-    it: a query's embedding is its own row."""
+    which must be the corpus's row for row: it records the sha256 of the
+    manifest in ``data_dir`` and holds ``table``'s ids in table order."""
     width = load_config(checkpoint).student_dim
     store = EmbeddingStore.load(path)
     if store.dim != width:
         raise ValueError(f"{path}: store width {store.dim} does not match checkpoint width {width}")
-    if store.manifest_sha256 != _manifest_sha256(data_dir):
+    same_rows = np.array_equal(store.object_ids, table.ids)
+    if not same_rows or store.manifest_sha256 != _manifest_sha256(data_dir):
         raise ValueError(f"{path}: store was not embedded from the manifest in {data_dir}")
-    row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
-    try:
-        return store, [row_of[qid] for qid in query_ids]
-    except KeyError as exc:
-        raise ValueError(f"{path}: object {exc.args[0]} is not in the store") from None
+    return store
 
 
 def cmd_query(args) -> int:
@@ -274,9 +271,9 @@ def cmd_query(args) -> int:
     if rows.size == 0:
         raise ValueError(f"no object with bbox {bbox} in image {args.query_image}")
     oid = int(table.ids[rows[0]])
-    store, [row] = _load_store(args.store, args.checkpoint, args.data, [oid])
+    store = _load_store(args.store, args.checkpoint, args.data, table)
     _echo_config("query", {"checkpoint": args.checkpoint, "object": oid, "topk": topk})
-    result = query(store, store.vectors[row], topk, table, query_id=oid)
+    result = query(store, store.vectors[rows[0]], topk, table, query_id=oid)
     for rank, hit in enumerate(result.hits, start=1):
         x, y, w, h = hit.bbox
         print(f"{rank}\t{hit.object_id}\t{hit.distance!r}\t{hit.image_id}\t{x!r}\t{y!r}\t{w!r}\t{h!r}")
@@ -319,14 +316,16 @@ def _part_bounds(n: int) -> list[int]:
     return [n * i // parts for i in range(parts + 1)]
 
 
-def _rank_part(store, prefixes, gallery_rows, scores, fh, queries, rows) -> list:
+def _rank_part(store, prefixes, scores, fh, rows) -> list:
     """Rank each query's own store row, write its ranking line to ``fh`` and
     score it into ``scores``; returns the scored queries, with every line
-    flushed to ``fh``'s file, where a child's parent reads them."""
-    for qid, row in zip(queries, rows):
+    flushed to ``fh``'s file, where a child's parent reads them.  The store
+    is its corpus row for row, so a store row is also a gallery row."""
+    for row in rows:
+        qid = int(store.object_ids[row])
         order, dist = rank(store, store.vectors[row])
         fh.write(f"{qid}\t{_ranking_pairs(prefixes[order], dist[order])}\n")
-        scores.add(qid, gallery_rows[order])
+        scores.add(qid, order)
     fh.flush()
     return scores.scored
 
@@ -348,21 +347,18 @@ def cmd_eval(args) -> int:
     topk, max_queries = _eval_settings(args)
     table = _load_table(args.data)
     gt = _ground_truth(table)
-    queries = table.ids[:max_queries].tolist()
-    store, rows = _load_store(args.store, args.checkpoint, args.data, queries)
+    store = _load_store(args.store, args.checkpoint, args.data, table)
+    rows = range(store.count)[:max_queries]
     _echo_config(
         "eval",
-        {"checkpoint": args.checkpoint, "queries": len(queries), "topk": topk},
+        {"checkpoint": args.checkpoint, "queries": len(rows), "topk": topk},
     )
     # built here, once, and not again in each child
-    gallery_rows = gt.rows_of(store.object_ids)
     for threshold in IOU_GATES.values():
         gt.pass_table(threshold)
     scores = ScaleReport(gt, EvalConfig(topk=topk))
-    rank_part = functools.partial(
-        _rank_part, store, _id_prefixes(store.object_ids), gallery_rows, scores
-    )
-    bounds = _part_bounds(len(queries))
+    rank_part = functools.partial(_rank_part, store, _id_prefixes(store.object_ids), scores)
+    bounds = _part_bounds(len(rows))
     with contextlib.ExitStack() as stack:
         children = []
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -370,10 +366,10 @@ def cmd_eval(args) -> int:
             lines = stack.enter_context(
                 tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
             )
-            work = functools.partial(rank_part, lines, queries[lo:hi], rows[lo:hi])
+            work = functools.partial(rank_part, lines, rows[lo:hi])
             children.append((lines, stack.enter_context(Child("a ranking process", work))))
         with _text_out(args.rankings) as fh:
-            rank_part(fh, queries[: bounds[1]], rows[: bounds[1]])
+            rank_part(fh, rows[: bounds[1]])
             for lines, child in children:
                 scores.scored += child.result()
                 lines.seek(0)

@@ -60,16 +60,16 @@ class ObjectRecord:
 
 
 class ObjectTable:
-    """Immutable ordered collection of ObjectRecords (ascending object_id)."""
+    """Immutable ordered collection of ObjectRecords (ascending object_id);
+    ``source``, the file they were read from, names them in an error."""
 
-    def __init__(self, records):
+    def __init__(self, records, source="table"):
         records = sorted(records, key=lambda r: r.object_id)
-        ids = [r.object_id for r in records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate object_id in table")
+        self.ids = np.array([r.object_id for r in records], dtype=np.int64)
+        if (repeated := self.ids[1:][self.ids[1:] == self.ids[:-1]]).size:
+            raise ValueError(f"{source}: object_id {repeated[0]} appears twice")
         self.records: list[ObjectRecord] = records
         self._by_id = {r.object_id: r for r in records}
-        self.ids = np.array(ids, dtype=np.int64)
         self.areas = np.array([r.area for r in records], dtype=np.float64)
         self.image_ids = np.array([r.image_id for r in records], dtype=np.int64)
         self.bboxes = np.array([r.bbox for r in records], dtype=np.float64).reshape(len(records), 4)
@@ -121,7 +121,7 @@ def read_manifest(path) -> ObjectTable:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return ObjectTable(records)
+    return ObjectTable(records, source=path)
 
 
 def ingest_coco(annotation_file) -> ObjectTable:
@@ -168,7 +168,8 @@ def ingest_coco(annotation_file) -> ObjectTable:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     records.sort(key=lambda r: r.object_id)
-    return ObjectTable([dataclasses.replace(r, feature_ref=row) for row, r in enumerate(records)])
+    records = [dataclasses.replace(r, feature_ref=row) for row, r in enumerate(records)]
+    return ObjectTable(records, source=annotation_file)
 
 
 def _is_number(value) -> bool:

@@ -381,7 +381,9 @@ def load_checkpoint(path) -> TrainState:
         ntable = NeighborTable(ids, rows, int(shaped("nt.step", low=0)))
     rng = np.random.default_rng(cfg.seed)
     rng.bit_generator.state = get(header, "rng_state", json.loads)
+    if not 0 <= (step := get(header, "step", int)) <= cfg.steps:
+        raise ValueError(f"{path}: bad 'step' in checkpoint: {step} is not an integer in [0, {cfg.steps}]")
     return TrainState(
         cfg=cfg, student=student, teacher=teacher, opt=opt, bank=bank,
-        ntable=ntable, rng=rng, step=get(header, "step", int),
+        ntable=ntable, rng=rng, step=step,
     )

@@ -83,13 +83,12 @@ def heldout_object_map(train_cfg: TrainConfig, train_table, eval_table, queries,
     )
     eval_groups = ScaleGroups(train_cfg.groups, assignment, trained.boundaries, eval_table)
     store = embed_all(state.student, eval_table, provider, eval_groups)
-    gt = GroundTruth.from_table(eval_table)
-    gallery_rows = gt.rows_of(store.object_ids)
-    scores = ScaleReport(gt, EvalConfig())
-    # a held-out query is a store object: its embedding is its own row
-    row_of = dict(zip(store.object_ids.tolist(), range(store.count)))
+    scores = ScaleReport(GroundTruth.from_table(eval_table), EvalConfig())
+    # the store and the gallery are the held-out table row for row, so a
+    # query's embedding is its own table row and a ranking its gallery rows
     for qid in queries:
-        scores.add(qid, gallery_rows[rank(store, store.vectors[row_of[qid]])[0]])
+        row = np.searchsorted(eval_table.ids, qid)
+        scores.add(qid, rank(store, store.vectors[row])[0])
     level = LEVELS.index("object")
     aps = [ap for _, by_level in scores.scored if (ap := by_level[level][1]) is not None]
     return sum(aps) / len(aps)

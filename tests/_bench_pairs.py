@@ -7,9 +7,20 @@ every end-to-end metric.
 Pair p runs ``perfbench/run.py --trace 0`` once in each checkout on seed
 ``first_seed + p``; the base runs first in even pairs and second in odd
 ones.  Every run's metrics are printed as they come.  Then, per metric,
-each side's median and quartiles, and the number of pairs the change won
-by the metric's direction in ``BENCHMARK.json`` (a tie counts for
-neither side).  Exits non-zero if a run fails or reads ``correct: false``.
+each side's median and quartiles, the number of pairs the change won by
+the metric's direction in ``BENCHMARK.json`` (a tie counts for neither
+side), the change's median as a share of the base's, the base's quartile
+spread as a share of its median, and a verdict against the metric's
+``bound`` there:
+
+- ``unresolved`` when the base's spread exceeds the bound and not every
+  change run beats every base run: the base's own runs differ by more
+  than the bound, so the medians cannot show a regression or its absence;
+- otherwise ``outside bound`` when the change's median is worse than the
+  base's by more than the bound (as a share of the base's median);
+- otherwise ``within bound``.
+
+Exits non-zero if a run fails or reads ``correct: false``.
 
 The two checkouts' paths must be of equal length: ``peak_rss_mb`` moves
 with where the heap lands, and that depends on the checkout's path.  Not
@@ -36,9 +47,31 @@ def run(checkout: Path, command, workload: str, seed: int, seconds: float) -> di
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def quartiles(values) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def summary(values) -> str:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = quartiles(values)
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def spread(values) -> float:
+    """The distance between the quartiles of ``values``, as a share of their median."""
+    q1, med, q3 = quartiles(values)
+    return (q3 - q1) / med
+
+
+def verdict(old, new, better: str, bound: float) -> str:
+    """``within bound``, ``outside bound`` or ``unresolved``: the change's
+    runs ``new`` against the base's ``old`` for a metric whose ``better``
+    direction and ``bound`` (a share of the base's median) are given."""
+    beats_all = min(new) > max(old) if better == "higher" else max(new) < min(old)
+    if spread(old) > bound and not beats_all:
+        return "unresolved"
+    change = statistics.median(new) / statistics.median(old) - 1
+    worse_by = -change if better == "higher" else change
+    return "outside bound" if worse_by > bound else "within bound"
 
 
 def main() -> int:
@@ -57,7 +90,7 @@ def main() -> int:
                  "peak_rss_mb would compare heap layouts")
     spec = json.loads((base / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     pairs = []
     for p in range(args.pairs):
         seed = args.first_seed + p
@@ -71,10 +104,16 @@ def main() -> int:
     for name in pairs[0]["base"]:
         old = [p["base"][name] for p in pairs]
         new = [p["change"][name] for p in pairs]
-        sign = 1 if better.get(name) == "higher" else -1
+        metric = metrics.get(name, {"better": "lower"})
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (n - o) > 0 for o, n in zip(old, new))
-        print(f"  {name}: base {summary(old)}  change {summary(new)}  "
-              f"change better in {wins}/{len(pairs)}")
+        line = (f"  {name}: base {summary(old)}  change {summary(new)}  "
+                f"change better in {wins}/{len(pairs)}  "
+                f"change/base {statistics.median(new) / statistics.median(old):.3f}  "
+                f"base spread {spread(old):.3f}")
+        if "bound" in metric:
+            line += f"  {verdict(old, new, metric['better'], metric['bound'])} ({metric['bound']})"
+        print(line)
     return 0
 
 

@@ -564,6 +564,18 @@ class TestManifestErrors:
         assert err.splitlines()[-1].startswith(f"error: {manifest}: line 5: ")
         assert message in err.splitlines()[-1]
 
+    def test_repeated_id_names_file_and_id(self, tmp_path, ini, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        manifest = d / "manifest.tsv"
+        manifest.write_text("1\t0\t0.0\t0.0\t2.0\t2.0\t0\n1\t0\t1.0\t0.0\t2.0\t2.0\t1\n")
+        np.save(d / "features.npy", np.zeros((2, 3)))
+        out = tmp_path / "run"
+        out.mkdir()
+        rc, out_text, err = run(capsys, "train", "--config", ini, "--data", d, "--out", out)
+        assert (rc, out_text) == (1, "")
+        assert err.splitlines() == [f"error: {manifest}: object_id 1 appears twice"]
+
 
 class TestQuery:
     def test_gallery_object_at_rank_one_distance_zero(self, trained, capsys):
@@ -607,13 +619,22 @@ class TestQuery:
 
     def test_malformed_bbox_is_usage_error(self, trained, capsys):
         data_dir, ckpt, store = trained
-        rc, _, err = run(
-            capsys, "query", "--checkpoint", ckpt, "--data", data_dir,
-            "--store", store, "--query-image", 0,
-            "--query-bbox", "1,2,3", "--topk", 3,
-        )
-        assert rc == 2
-        assert "x,y,w,h" in err
+        for bbox, message in [
+            ("1,2,3", "x,y,w,h"),
+            ("0,0,0,2", "positive width and height"),
+            ("0,0,nan,2", "must be finite"),
+            ("inf,0,1,2", "must be finite"),
+            ("0,-inf,1,2", "must be finite"),
+            ("0,0,1,inf", "must be finite"),
+        ]:
+            rc, out, err = run(
+                capsys, "query", "--checkpoint", ckpt, "--data", data_dir,
+                "--store", store, "--query-image", 0,
+                "--query-bbox", bbox, "--topk", 3,
+            )
+            assert (rc, out) == (2, ""), bbox
+            [line] = err.splitlines()
+            assert line.startswith("usage error: --query-bbox") and message in line, bbox
 
 
 def tied_area_model(tmp_path):
@@ -1079,12 +1100,14 @@ class TestStoreRows:
         rc, _, err = run(capsys, "report", "--rankings", rankings, "--data", data_dir)
         assert rc == 0, err
 
-    @pytest.mark.parametrize("command", ["eval", "query"])
-    def test_query_missing_from_store(self, tmp_path, capsys, command):
+    def _assert_rejected(self, tmp_path, capsys, command, rows, ids=None):
+        """A tiny model's store rewritten with the given rows (and ids) under
+        its manifest's sha256 is rejected once, before any query."""
         d, ckpt, store = tiny_model(tmp_path)
         capsys.readouterr()
         full = EmbeddingStore.load(store)
-        EmbeddingStore(full.vectors[:3], full.object_ids[:3], full.manifest_sha256).save(store)
+        ids = full.object_ids[rows] if ids is None else np.array(ids)
+        EmbeddingStore(full.vectors[rows], ids, full.manifest_sha256).save(store)
         common = ["--checkpoint", ckpt, "--data", d, "--store", store]
         if command == "eval":
             argv = ["eval", *common, "--rankings", tmp_path / "r.tsv", "--report", tmp_path / "p.tsv"]
@@ -1093,8 +1116,23 @@ class TestStoreRows:
         rc, out, err = run(capsys, *argv)
         assert rc == 1
         assert out == ""
-        assert err.splitlines() == [f"error: {store}: object 3 is not in the store"]
+        assert err.splitlines() == [f"error: {store}: store was not embedded from the manifest in {d}"]
         assert not (tmp_path / "r.tsv").exists()
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_query_missing_from_store(self, tmp_path, capsys, command):
+        self._assert_rejected(tmp_path, capsys, command, [0, 1, 2])
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    @pytest.mark.parametrize("rows, ids", [
+        pytest.param([3, 2, 1, 0], None, id="reordered"),
+        pytest.param([0, 1, 2, 3], [0, 1, 2, 7], id="one-id-replaced"),
+    ])
+    def test_store_rows_are_the_manifest_rows(self, tmp_path, capsys, rows, ids, command):
+        """A table row is also the store row of the same object, so a store
+        must hold the manifest's objects in manifest order."""
+        self._assert_rejected(tmp_path, capsys, command, rows, ids)
 
 
 class TestStoreOfItsCorpus:
@@ -1193,6 +1231,11 @@ def _damage(path, case) -> str:
         if isinstance(value, float):
             return f"bad {name!r} in checkpoint: <f8 blob, <i8 expected"
         return f"bad {name!r} in checkpoint: {value!r} is not an integer"
+    if case.startswith("step "):
+        # a tiny-model checkpoint's config has steps = 0
+        header["step"] = case.split()[1]
+        write_container(path, header, blobs)
+        return f"bad 'step' in checkpoint: {header['step']} is not an integer in [0, 0]"
     if case == "missing blob":
         del blobs["opt.m"]
         write_container(path, header, blobs)
@@ -1228,9 +1271,10 @@ class TestDamagedCheckpoint:
         assert line.startswith(f"error: {ckpt}: ")
         assert field in line
 
-    @pytest.mark.parametrize(
-        "case", ["missing blob", "header not utf-8", "config not json", *WRONG_SHAPE, *NOT_INT64]
-    )
+    @pytest.mark.parametrize("case", [
+        "missing blob", "header not utf-8", "config not json", "step -2", "step 1",
+        *WRONG_SHAPE, *NOT_INT64,
+    ])
     def test_rejected_in_one_line_naming_file_and_field(self, tmp_path, capsys, case):
         d, ckpt, _ = tiny_model(tmp_path)
         capsys.readouterr()
@@ -1458,6 +1502,27 @@ class TestIngest:
         )
         assert rc == 1
         assert "4 feature rows for 1 annotations" in err
+
+    def test_repeated_id_names_file_and_id(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "annotations": [
+                {"id": 5, "image_id": 1, "bbox": [0, 0, 2, 2], "category_id": 0},
+                {"id": 5, "image_id": 1, "bbox": [1, 1, 2, 2], "category_id": 1},
+            ],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        feats = tmp_path / "feats.npy"
+        np.save(feats, np.zeros((2, 4)))
+        d = tmp_path / "data"
+        d.mkdir()
+        rc, out, err = run(
+            capsys, "ingest", "--annotations", ann, "--features", feats, "--out", d
+        )
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == [f"error: {ann}: object_id 5 appears twice"]
+        assert list(d.iterdir()) == []
 
     def test_non_integer_class_writes_nothing(self, tmp_path, capsys):
         # read_manifest would reject what ingest wrote, so ingest rejects it

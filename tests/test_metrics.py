@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from groupvec.data import SynthConfig, synth_generate
+from groupvec.data import ObjectRecord, ObjectTable, SynthConfig, synth_generate
 from groupvec.metrics import (
     EvalConfig,
     GalleryObject,
@@ -369,3 +369,19 @@ def test_ground_truth_from_table():
     rec = table.get(int(table.ids[7]))
     assert gt.query_area[rec.object_id] == rec.area
     assert (rec.class_id, rec.bbox) in gt.boxes_by_image[rec.image_id]
+
+
+def test_ground_truth_gallery_is_the_table_in_table_order():
+    """``groupvec eval`` reads a store row as the gallery row of the same
+    index, so with every object labeled the gallery is the table in order."""
+    records = [
+        ObjectRecord(oid, oid % 3, (float(oid), 0.0, 2.0, 1.0), 2.0, oid % 2)
+        for oid in (12, 10, 40, 11)
+    ]
+    table = ObjectTable(records)
+    gallery = GroundTruth.from_table(table).gallery
+    assert [g.object_id for g in gallery] == table.ids.tolist() == [10, 11, 12, 40]
+    assert [g.image_id for g in gallery] == table.image_ids.tolist()
+    assert [g.bbox for g in gallery] == [r.bbox for r in table]
+    synth, _ = synth_generate(SynthConfig(n_objects=40, seed=3))
+    assert [g.object_id for g in GroundTruth.from_table(synth).gallery] == synth.ids.tolist()
