@@ -142,12 +142,12 @@ def ingest_coco(annotation_file) -> ObjectTable:
     image_ids = set()
     for i, img in enumerate(doc["images"]):
         if not isinstance(img, dict) or type(img.get("id")) is not int:
-            raise ValueError(f"images[{i}]: needs an integer 'id', got {img!r}")
+            raise ValueError(f"{annotation_file}: images[{i}]: needs an integer 'id', got {img!r}")
         image_ids.add(img["id"])
 
     records = []
     for i, ann in enumerate(doc["annotations"]):
-        where = f"annotations[{i}]"
+        where = f"{annotation_file}: annotations[{i}]"
         if not isinstance(ann, dict):
             raise ValueError(f"{where}: not an object")
         for key in ("id", "image_id", "bbox", "category_id"):
@@ -159,10 +159,10 @@ def ingest_coco(annotation_file) -> ObjectTable:
         if not (isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_number, bbox))):
             raise ValueError(f"{where}: bbox must be four numbers [x, y, w, h], got {bbox!r}")
         if img_id not in image_ids:
-            raise ValueError(f"annotation {aid}: unknown image_id {img_id}")
+            raise ValueError(f"{annotation_file}: annotation {aid}: unknown image_id {img_id}")
         x, y, w, h = map(float, bbox)
         if not (w > 0 and h > 0):
-            raise ValueError(f"annotation {aid}: bbox width/height must be positive")
+            raise ValueError(f"{annotation_file}: annotation {aid}: bbox width/height must be positive")
         try:
             records.append(ObjectRecord(aid, img_id, (x, y, w, h), w * h, ann["category_id"]))
         except ValueError as exc:

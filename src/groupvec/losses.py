@@ -7,7 +7,6 @@ embeddings; the distance kernels come from ``backends``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,8 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .backends import cross_sqdist, pairwise_dist, pairwise_dist_grad, self_sqdist
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -201,17 +198,11 @@ def _ckd_with_grads(blocks: Sequence[np.ndarray], centroids: Sequence[np.ndarray
     """Value and per-block gradients of the cross-group alignment term.
 
     ``blocks[m]`` holds group m's embeddings of the shared objects, one row
-    per object in a fixed common order.
+    per object in a fixed common order; ``total_loss`` calls it only with
+    two or more groups and one or more shared objects.
     """
     k = len(blocks)
-    zeros = [np.zeros_like(np.asarray(b, dtype=np.float64)) for b in blocks]
-    if k < 2:
-        log.warning("cross-group alignment needs at least two groups; returning 0")
-        return 0.0, zeros
     n_s = blocks[0].shape[0]
-    if n_s == 0:
-        log.warning("no shared objects between the two groups; pair term is 0")
-        return 0.0, zeros
     sims = []
     caches = []
     for b, c in zip(blocks, centroids):

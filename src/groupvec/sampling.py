@@ -205,48 +205,30 @@ def kmeans(f: np.ndarray, n_clusters: int, iters: int = 20, seed: int = 0, step:
     return CentroidBank(centroids=cents, last_refresh_step=step)
 
 
-def knn_table(
-    f: np.ndarray,
-    object_ids: np.ndarray,
-    group_of: np.ndarray,
-    k_neighbors: int = 5,
-    step: int = 0,
-) -> NeighborTable:
-    """Within-group nearest neighbors by Euclidean distance.
+def knn_table(f: np.ndarray, object_ids: np.ndarray, k_neighbors: int = 5) -> np.ndarray:
+    """Nearest neighbors within one group of two or more rows, by Euclidean
+    distance: the ``(n, min(k_neighbors, n - 1))`` int64 neighbor ids, row
+    i for row i of ``f``, nearest first.  Self is excluded; exact distance
+    ties break toward the smaller object id.
 
-    Self is excluded; exact distance ties break toward the smaller object
-    id.  Each object gets min(k_neighbors, group size - 1) neighbors, in a
-    row padded with -1 to min(k_neighbors, largest group size - 1).
-
-    Distances are ``backends.cross_sqdist``'s per-pair sums.  A group is
+    Distances are ``backends.cross_sqdist``'s per-pair sums.  The group is
     first screened with one Gram product, ``|x|^2 + |y|^2 - 2 x.y``,
     whose rounding error has a proven bound (``backends.gram_slack``); only
     rows within the slack of the k-th screened distance are measured
-    exactly, all of a group's candidate pairs in one ``paired_sqdist``
-    pass, so the table equals a full sort of (distance, id).
+    exactly, all candidate pairs in one ``paired_sqdist`` pass, so the rows
+    equal a full sort of (distance, id).
     """
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
-    group_of = np.asarray(group_of)
-    if not (f.shape[0] == object_ids.size == group_of.size):
-        raise ValueError("rows, object ids and group assignment must align")
-    labels, sizes = np.unique(group_of, return_counts=True)
-    if (sizes < 2).any():
-        raise ValueError(f"group {labels[sizes < 2][0]} has fewer than two members")
-    table = np.full((f.shape[0], min(k_neighbors, sizes.max(initial=1) - 1)), -1, dtype=np.int64)
-    for g in labels:
-        rows = np.flatnonzero(group_of == g)
-        sub = f[rows]
-        ids = object_ids[rows]
-        take = min(k_neighbors, rows.size - 1)
-        row, cand = _knn_candidates(sub, take)
-        d2 = paired_sqdist(sub, cand, row)
-        # each row's candidates stay in place, sorted by (distance, id)
-        order = np.lexsort((ids[cand], d2, row))
-        first = np.searchsorted(row, np.arange(rows.size))
-        table[rows, :take] = ids[cand[order[first[:, None] + np.arange(take)]]]
-    order = np.argsort(object_ids, kind="stable")
-    return NeighborTable(ids=object_ids[order], rows=table[order], last_refresh_step=step)
+    if f.shape[0] != object_ids.size:
+        raise ValueError("rows and object ids must align")
+    take = min(k_neighbors, f.shape[0] - 1)
+    row, cand = _knn_candidates(f, take)
+    d2 = paired_sqdist(f, cand, row)
+    # each row's candidates stay in place, sorted by (distance, id)
+    order = np.lexsort((object_ids[cand], d2, row))
+    first = np.searchsorted(row, np.arange(f.shape[0]))
+    return object_ids[cand[order[first[:, None] + np.arange(take)]]]
 
 
 def _knn_candidates(sub: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,14 +347,17 @@ def refresh(
 def _neighbor_table(teacher, groups, feats, k_neighbors, step) -> NeighborTable:
     """The within-group kNN table of the teacher's wide embedding, built one
     group at a time (neighbors never cross a group, so no wide embedding of
-    the whole corpus is ever held) into rows padded to the largest group's."""
+    the whole corpus is ever held) into rows padded with -1 to the largest
+    group's."""
+    sizes = groups.group_sizes()
+    if min(sizes) < 2:
+        raise ValueError(f"group {sizes.index(min(sizes))} has fewer than two members")
     ids = groups.table.ids
-    table = np.full((ids.size, min(k_neighbors, max(groups.group_sizes()) - 1)), -1, dtype=np.int64)
+    table = np.full((ids.size, min(k_neighbors, max(sizes) - 1)), -1, dtype=np.int64)
     for m in range(groups.k):
         rows = groups.group_rows(m)
-        wide = teacher.embed(feats[rows])
-        part = knn_table(wide, ids[rows], np.full(rows.size, m), k_neighbors, step)
-        table[rows, : part.rows.shape[1]] = part.rows
+        part = knn_table(teacher.embed(feats[rows]), ids[rows], k_neighbors)
+        table[rows, : part.shape[1]] = part
     return NeighborTable(ids=ids, rows=table, last_refresh_step=step)
 
 

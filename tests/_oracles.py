@@ -22,7 +22,7 @@ from groupvec.losses import (
     relaxed_contrastive,
     self_distill,
 )
-from groupvec.sampling import NeighborTable, _farthest_point_init, kmeans, knn_table
+from groupvec.sampling import NeighborTable, _farthest_point_init, kmeans
 
 log = logging.getLogger(__name__)
 
@@ -276,7 +276,8 @@ def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
     """Within-group kNN table measuring each row against its whole group:
     one ``cross_sqdist`` of the group against the row and one lexsort of
     (distance, id) per row, with no screen, and each row padded with -1 to
-    the longest.  Same signature and result as ``sampling.knn_table``."""
+    the longest.  The table that ``sampling._neighbor_table`` builds from
+    one ``sampling.knn_table`` call per group."""
     f = np.asarray(f, dtype=np.float64)
     object_ids = np.asarray(object_ids, dtype=np.int64)
     group_of = np.asarray(group_of)
@@ -300,6 +301,13 @@ def knn_rows(f, object_ids, group_of, k_neighbors=5, step=0):
         rows[i, : len(neighbors[oid])] = neighbors[oid]
     return NeighborTable(ids=ids, rows=rows, last_refresh_step=step)
 
+
+
+def knn_group(f, object_ids, k_neighbors=5):
+    """``knn_rows`` of one group, row i for row i of ``f``.  Same signature
+    and result as ``sampling.knn_table``."""
+    table = knn_rows(f, object_ids, np.zeros(len(object_ids)), k_neighbors)
+    return table.rows[np.searchsorted(table.ids, object_ids)]
 
 def adam_step_expr(p, g, lr, weight_decay, m, v, t, beta1=0.9, beta2=0.999, eps=1e-8):
     """One adaptive-moment step with decoupled decay in expression form
@@ -391,12 +399,12 @@ def lloyd_full(f, n_clusters, iters, rng):
 
 def refresh_composition(step, teacher, groups, provider, n_clusters=100,
                         k_neighbors=5, kmeans_iters=20, seed=0):
-    """A firing refresh composed of the whole-corpus calls: the kNN table
-    of ``teacher.embed`` of every object, and k-means of the stacked
-    per-group ``head_embed``.  Returns ``(bank, table)``."""
+    """A firing refresh composed of the whole-corpus calls: the per-row kNN
+    table (``knn_rows``) of ``teacher.embed`` of every object, and k-means
+    of the stacked per-group ``head_embed``.  Returns ``(bank, table)``."""
     ids = groups.table.ids
     feats = provider.base_features(ids)
-    table = knn_table(teacher.embed(feats), ids, groups.assignment, k_neighbors, step)
+    table = knn_rows(teacher.embed(feats), ids, groups.assignment, k_neighbors, step)
     head = np.empty((len(ids), teacher.cfg.student_dim))
     for m in range(groups.k):
         rows = groups.group_rows(m)
@@ -420,7 +428,7 @@ def total_loss_composition(f_h, f_l, f_t, centroids, n_shared, cfg):
         parts["con_l"] += cl
         d_fh.append(gh + gch)
         d_fl.append(gl + gcl)
-    if n_shared > 0:
+    if n_shared > 0 and len(f_h) > 1:
         blocks = [np.asarray(b, dtype=np.float64)[-n_shared:] for b in f_h]
         ckd, gshared = _ckd_with_grads(blocks, centroids, cfg)
         parts["ckd"] = ckd

@@ -1542,5 +1542,5 @@ class TestIngest:
             capsys, "ingest", "--annotations", ann, "--features", feats, "--out", d
         )
         assert rc == 1
-        assert err.splitlines() == ["error: annotations[0]: category_id must be an integer, got 1.5"]
+        assert err.splitlines() == [f"error: {ann}: annotations[0]: category_id must be an integer, got 1.5"]
         assert list(d.iterdir()) == []

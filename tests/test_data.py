@@ -70,7 +70,7 @@ class TestIngest:
         doc = coco_doc([{"id": 9, "image_id": 1, "bbox": [0, 0, 0, 10], "category_id": 0}])
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="annotation 9"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: annotation 9: bbox width/height"):
             ingest_coco(p)
 
     def test_infinite_bbox_rejected(self, tmp_path):
@@ -95,7 +95,7 @@ class TestIngest:
         }
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="annotation 5"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: annotation 5: unknown image_id 2$"):
             ingest_coco(p)
 
 
@@ -126,7 +126,8 @@ class TestIngest:
         ann = {"id": 1, "image_id": 1, "bbox": [0, 0, 4, 4], "category_id": 0, **annotation}
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(coco_doc([ann], images=images)))
-        with pytest.raises(ValueError, match=message):
+        # every per-entry error starts with the COCO file's path
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
             ingest_coco(p)
 
     def test_mixed_int_and_string_ids(self, tmp_path):

@@ -11,6 +11,7 @@ from _cpus import assert_reaped, force_cpus
 from _oracles import (
     cluster_sums_add_at,
     farthest_point_loop,
+    knn_group,
     knn_loops,
     knn_rows,
     lloyd_full,
@@ -90,72 +91,56 @@ class TestKnnTable:
     def test_collinear_middle_is_nearest(self):
         f = np.array([[0.0], [1.0], [3.0]])
         ids = np.array([10, 11, 12])
-        t = knn_table(f, ids, np.zeros(3), k_neighbors=1)
-        assert t.of(10).tolist() == [11]
-        assert t.of(12).tolist() == [11]
+        assert knn_table(f, ids, k_neighbors=1).tolist() == [[11], [10], [11]]
 
     def test_matches_brute_force(self):
+        # ids in shuffled order: row i stays the neighbors of ids[i]
         rng = np.random.default_rng(4)
         f = rng.normal(size=(20, 6))
         ids = rng.permutation(np.arange(100, 120))
-        t = knn_table(f, ids, np.zeros(20), k_neighbors=5)
+        rows = knn_table(f, ids, k_neighbors=5)
         oracle = knn_loops(f, ids, np.zeros(20), 5)
-        for oid in ids:
-            assert t.of(int(oid)).tolist() == oracle[int(oid)]
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [oracle[int(oid)] for oid in ids]
 
     def test_matches_brute_force_with_duplicates(self):
         # planted duplicate rows make exact distance ties that only the
-        # ids can break
+        # ids can break; one call per group
         rng = np.random.default_rng(14)
         f = rng.normal(size=(70, 1024)) * 3.0
         f[rng.integers(0, 70, size=20)] = f[5]
         ids = rng.permutation(np.arange(500, 570))
         group_of = rng.integers(0, 3, size=70)
-        t = knn_table(f, ids, group_of, k_neighbors=6)
         oracle = knn_loops(f, ids, group_of, 6)
-        for oid in ids:
-            assert t.of(int(oid)).dtype == np.int64
-            assert t.of(int(oid)).tolist() == oracle[int(oid)]
+        for g in range(3):
+            rows = np.flatnonzero(group_of == g)
+            got = knn_table(f[rows], ids[rows], k_neighbors=6)
+            assert got.tolist() == [oracle[int(oid)] for oid in ids[rows]]
 
     def test_no_self_and_count_capped(self):
         f = np.random.default_rng(5).normal(size=(3, 2))
         ids = np.array([1, 2, 3])
-        t = knn_table(f, ids, np.zeros(3), k_neighbors=5)
-        for oid in ids:
-            assert int(oid) not in t.of(int(oid)).tolist()
-            assert len(t.of(int(oid))) == 2
+        rows = knn_table(f, ids, k_neighbors=5)
+        assert rows.shape == (3, 2)
+        assert all(oid not in row for oid, row in zip(ids.tolist(), rows.tolist()))
 
     def test_distance_ties_break_by_ascending_id(self):
         f = np.array([[0.0], [0.0], [0.0], [5.0]])
         ids = np.array([30, 20, 40, 50])
-        t = knn_table(f, ids, np.zeros(4), k_neighbors=3)
-        assert t.of(50).tolist() == [20, 30, 40]
-        assert t.of(30).tolist() == [20, 40, 50]
+        rows = knn_table(f, ids, k_neighbors=3)
+        assert rows[3].tolist() == [20, 30, 40]
+        assert rows[0].tolist() == [20, 40, 50]
 
-    def test_groups_do_not_mix(self):
-        f = np.array([[0.0], [0.1], [0.2], [0.3]])
-        ids = np.array([1, 2, 3, 4])
-        groups = np.array([0, 1, 0, 1])
-        t = knn_table(f, ids, groups, k_neighbors=5)
-        assert t.of(1).tolist() == [3]
-        assert t.of(2).tolist() == [4]
 
-    def test_rows_follow_ascending_ids_padded_to_the_largest_group(self):
-        # groups of 4 and 2 given in shuffled id order: width min(5, 4 - 1);
-        # 12 is as far from 13 as from 15, and the smaller id comes first
-        f = np.array([[0.0], [7.0], [1.0], [3.0], [9.0], [6.0]])
-        ids = np.array([15, 11, 14, 12, 10, 13])
-        t = knn_table(f, ids, np.array([0, 1, 0, 0, 1, 0]), k_neighbors=5, step=4)
-        assert t.ids.tolist() == [10, 11, 12, 13, 14, 15]
-        assert t.rows.tolist() == [
-            [11, -1, -1], [10, -1, -1], [14, 13, 15], [12, 14, 15], [15, 12, 13], [14, 12, 13],
-        ]
-        assert t.of(10).tolist() == [11]
-        assert t.last_refresh_step == 4
-
-    def test_singleton_group_named_in_error(self):
-        with pytest.raises(ValueError, match="group 1"):
-            knn_table(np.zeros((3, 2)), np.arange(3), np.array([0, 0, 1]))
+def assert_groups_match_knn_group(f, ids, group_of, k):
+    """One ``knn_table`` call per group equals ``knn_group`` of that group:
+    int64 rows of width min(k, size - 1), row i for row i of the group."""
+    for g in np.unique(group_of):
+        rows = np.flatnonzero(group_of == g)
+        got = knn_table(f[rows], ids[rows], k_neighbors=k)
+        assert got.dtype == np.int64
+        assert got.shape == (rows.size, min(k, rows.size - 1))
+        assert np.array_equal(got, knn_group(f[rows], ids[rows], k_neighbors=k))
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +207,7 @@ class TestKnnTableAtRefreshScale:
         assert wide.shape == (2000, 1024)
         assert np.bincount(group_of).tolist() == [500] * 4
         f = make(wide, np.random.default_rng(21))
-        got = knn_table(f, ids, group_of, k_neighbors=5, step=7)
-        want = knn_rows(f, ids, group_of, k_neighbors=5, step=7)
-        assert got.last_refresh_step == 7
-        assert_same_table(got, want)
+        assert_groups_match_knn_group(f, ids, group_of, 5)
 
     def test_one_exact_pass_per_group(self, refresh_scale, monkeypatch):
         # the refresh's input: each group's candidate pairs are measured in
@@ -239,10 +221,11 @@ class TestKnnTableAtRefreshScale:
 
         monkeypatch.setattr(sampling_mod, "paired_sqdist", counting)
         alone = _measured_rows(monkeypatch)
-        got = knn_table(wide, ids, group_of, k_neighbors=5, step=3)
+        got = [knn_table(wide[group_of == g], ids[group_of == g]) for g in range(4)]
         monkeypatch.undo()
         assert alone == [] and len(passes) == 4
-        assert_same_table(got, knn_rows(wide, ids, group_of, k_neighbors=5, step=3))
+        for g, rows in enumerate(got):
+            assert np.array_equal(rows, knn_group(wide[group_of == g], ids[group_of == g]))
 
     @pytest.mark.parametrize("k", [1, 3, 6, 40])
     def test_small_groups_and_k_at_least_group_size(self, k):
@@ -252,10 +235,7 @@ class TestKnnTableAtRefreshScale:
         f[3] = f[0]
         ids = rng.permutation(np.arange(40, 53))
         group_of = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2])[rng.permutation(13)]
-        got = knn_table(f, ids, group_of, k_neighbors=k)
-        want = knn_rows(f, ids, group_of, k_neighbors=k)
-        assert_same_table(got, want)
-        assert got.rows.shape == (13, min(k, 6))
+        assert_groups_match_knn_group(f, ids, group_of, k)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_underflowing_and_overflowing_rows(self, scale):
@@ -264,9 +244,7 @@ class TestKnnTableAtRefreshScale:
         ids = np.arange(40)
         group_of = rng.integers(0, 2, size=40)
         with np.errstate(over="ignore", under="ignore"):
-            got = knn_table(f, ids, group_of, k_neighbors=4)
-            want = knn_rows(f, ids, group_of, k_neighbors=4)
-        assert_same_table(got, want)
+            assert_groups_match_knn_group(f, ids, group_of, 4)
 
 
 def _measured_rows(monkeypatch):
@@ -475,7 +453,7 @@ def small_corpus(n_objects=200, seed=0, k=4):
 class TestAssembleBatch:
     def test_default_arithmetic(self):
         _, _, _, groups = small_corpus()
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(0).normal(size=(200, 4)),
             groups.table.ids,
             groups.assignment,
@@ -488,7 +466,7 @@ class TestAssembleBatch:
 
     def test_rows_belong_to_their_group(self):
         _, _, _, groups = small_corpus()
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(2).normal(size=(200, 4)),
             groups.table.ids,
             groups.assignment,
@@ -501,7 +479,7 @@ class TestAssembleBatch:
 
     def test_single_group_no_shared(self):
         _, _, _, groups = small_corpus(n_objects=150, k=1)
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(4).normal(size=(150, 4)),
             groups.table.ids,
             groups.assignment,
@@ -513,7 +491,7 @@ class TestAssembleBatch:
 
     def test_deterministic(self):
         _, _, _, groups = small_corpus()
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(6).normal(size=(200, 4)),
             groups.table.ids,
             groups.assignment,
@@ -525,7 +503,7 @@ class TestAssembleBatch:
 
     def test_anchor_expansion_prefixes_neighbors(self):
         _, _, _, groups = small_corpus()
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(7).normal(size=(200, 4)),
             groups.table.ids,
             groups.assignment,
@@ -543,7 +521,7 @@ class TestAssembleBatch:
 
     def test_unattainable_quota(self):
         _, _, _, groups = small_corpus()
-        t = knn_table(
+        t = knn_rows(
             np.random.default_rng(8).normal(size=(200, 4)),
             groups.table.ids,
             groups.assignment,
@@ -621,6 +599,24 @@ class TestRefresh:
             assert same_bits(got_bank.centroids, want_bank.centroids)
             assert got_bank.last_refresh_step == got_nt.last_refresh_step == 5
             assert_same_table(got_nt, want_nt)
+
+    def test_neighbor_table_pads_groups_of_different_sizes(self):
+        # 22 objects in groups of 6, 6, 5 and 5, and k_neighbors 6: rows of
+        # width min(6, 6 - 1), the groups of five padded with one -1
+        _, _, model, groups = small_corpus(n_objects=22)
+        assert groups.group_sizes() == [6, 6, 5, 5]
+        ids = groups.table.ids
+        feats = model.base_features(ids)
+        nt = sampling_mod._neighbor_table(self.teacher, groups, feats, 6, 9)
+        assert np.array_equal(nt.ids, ids) and (np.diff(nt.ids) > 0).all()
+        assert nt.rows.dtype == np.int64 and nt.rows.shape == (22, 5)
+        assert nt.last_refresh_step == 9
+        for m, size in enumerate(groups.group_sizes()):
+            rows = groups.group_rows(m)
+            assert (nt.rows[rows, size - 1:] == -1).all()
+            own = nt.rows[rows, : size - 1]
+            assert np.isin(own, ids[rows]).all()
+            assert np.array_equal(own, knn_group(self.teacher.embed(feats[rows]), ids[rows], 6))
 
     def _refresh(self):
         return refresh(

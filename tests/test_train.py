@@ -7,7 +7,7 @@ import pytest
 import groupvec.sampling as sampling_mod
 import groupvec.train as train_mod
 from _cpus import assert_reaped, force_cpus
-from _oracles import adam_step_expr, adam_step_whole, knn_rows
+from _oracles import adam_step_expr, adam_step_whole, knn_group
 from groupvec.checkpoint import read_container, write_container
 from groupvec.data import (
     BaseFeatureProvider,
@@ -264,21 +264,28 @@ class TestTrainLoop:
     def test_loss_log_unchanged_by_screened_knn(self, monkeypatch):
         # four refreshes in 12 steps: the Gram-screened table and the
         # per-row full sort must give the same batches and the same log.
-        # On one CPU every knn_table call runs here, where it is recorded.
+        # On one CPU every refresh builds its table here, where it is recorded.
         force_cpus(monkeypatch, 1)
         table, model = tiny_corpus(n=120)
         cfg = tiny_cfg(steps=12, refresh_period=3, knn=4, teacher_dim=64)
         _, screened = train(cfg, table, model)
-        calls = []
+        steps, groups_seen = [], []
+        neighbor_table = sampling_mod._neighbor_table
 
-        def per_row_table(*args):
-            calls.append(args[-1])
-            return knn_rows(*args)
+        def recorded(*args):
+            steps.append(args[-1])
+            return neighbor_table(*args)
 
-        monkeypatch.setattr(sampling_mod, "knn_table", per_row_table)
+        def per_row_kernel(f, ids, k_neighbors):
+            groups_seen.append(len(ids))
+            return knn_group(f, ids, k_neighbors)
+
+        monkeypatch.setattr(sampling_mod, "_neighbor_table", recorded)
+        monkeypatch.setattr(sampling_mod, "knn_table", per_row_kernel)
         _, per_row = train(cfg, table, model)
-        # one knn_table call per group at each refresh step
-        assert calls == [s for s in (0, 3, 6, 9) for _ in range(cfg.groups)]
+        # one table per refresh step, one kernel call per group
+        assert steps == [0, 3, 6, 9]
+        assert len(groups_seen) == 4 * cfg.groups and sum(groups_seen) == 4 * 120
         assert len(screened) == 12
         assert screened == per_row
 
@@ -288,15 +295,15 @@ class TestTrainLoop:
         table, model = tiny_corpus()
         cfg = tiny_cfg()
         _, lines = train(cfg, table, model)
-        knn = sampling_mod.knn_table
+        neighbor_table = sampling_mod._neighbor_table
 
-        def knn_failing_at_step_3(*args):
+        def failing_at_step_3(*args):
             if args[-1] == 3:
                 raise ValueError("kNN failed")
-            return knn(*args)
+            return neighbor_table(*args)
 
         forked = force_cpus(monkeypatch, 2)
-        monkeypatch.setattr(sampling_mod, "knn_table", knn_failing_at_step_3)
+        monkeypatch.setattr(sampling_mod, "_neighbor_table", failing_at_step_3)
         path, log_path = tmp_path / "abort.msg1", tmp_path / "loss.log"
         with open(log_path, "w", encoding="utf-8", newline="\n") as log:
             with pytest.raises(ValueError, match="^kNN failed$"):
