@@ -70,9 +70,8 @@ def quartiles(values) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summary(values) -> str:
-    q1, med, q3 = quartiles(values)
-    return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+def summary(q: dict) -> str:
+    return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
 
 
 def spread(values) -> float:
@@ -178,9 +177,7 @@ def main() -> int:
         stats = compare(pairs, metrics)
         print(f"{workload}, {len(pairs)} pairs, {seconds} s per run: median [quartiles]")
         for name, s in stats.items():
-            old = [p["base"][name] for p in pairs]
-            new = [p["change"][name] for p in pairs]
-            line = (f"  {name}: base {summary(old)}  change {summary(new)}  "
+            line = (f"  {name}: base {summary(s['base'])}  change {summary(s['change'])}  "
                     f"change better in {s['change_wins']}/{len(pairs)}  "
                     f"change/base {s['change_over_base']:.3f}  base spread {s['base_spread']:.3f}")
             if "verdict" in s:
